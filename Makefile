@@ -24,7 +24,7 @@ OBS_OUT ?= /tmp/darnet-obs-smoke.json
 CRASH_OUT ?= /tmp/darnet-crash-smoke.json
 CRASH_SCALE ?= 0.01
 
-.PHONY: verify fmt vet lint lint-module lint-fast lint-concurrency build test race bench-smoke stream-smoke obs-smoke crash-smoke chaos
+.PHONY: verify fmt vet lint lint-module lint-fast lint-concurrency build test race perfbench-test bench-smoke stream-smoke obs-smoke crash-smoke chaos
 
 # The module-scope lint sweep in verify must finish inside this many
 # milliseconds: the analyzers are part of the inner loop, and a regression
@@ -32,7 +32,7 @@ CRASH_SCALE ?= 0.01
 # tax every future build.
 LINT_BUDGET_MS ?= 2000
 
-verify: fmt vet lint build test race stream-smoke obs-smoke crash-smoke
+verify: fmt vet lint build test race perfbench-test stream-smoke obs-smoke crash-smoke
 	@echo "verify: OK"
 
 fmt:
@@ -81,6 +81,12 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# perfbench is a module of its own (darnet/perfbench, replace darnet => ../),
+# so the root build and test sweep never compile it. Vet and test it here so
+# an API change in the packages it imports fails verify, not the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # bench-smoke trains a deliberately tiny configuration, probes the serving
 # path, writes the machine-readable benchmark, and validates its schema. The

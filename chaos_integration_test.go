@@ -21,6 +21,7 @@ import (
 	"darnet/internal/core"
 	"darnet/internal/fault"
 	"darnet/internal/imu"
+	"darnet/internal/stream"
 	"darnet/internal/telemetry"
 	"darnet/internal/tensor"
 	"darnet/internal/tsdb"
@@ -248,8 +249,8 @@ func TestChaosPipelineSurvivesPartitionsWithoutDuplicates(t *testing.T) {
 
 	// --- Degraded classification while the IMU stream is down ---------------
 	// During a partition the engine has frames but no IMU window; it must
-	// still classify (CNN-only, discounted confidence) and the alerter must
-	// still fire on the distracted decision.
+	// still classify (CNN-only, discounted confidence) and keep the distracted
+	// decision, while the served alert FSM discounts that evidence.
 	rng := rand.New(rand.NewSource(11))
 	train := chaosTinyData(rng, 60, 16, 16, 3)
 	cfg := core.DefaultTrainConfig()
@@ -283,14 +284,17 @@ func TestChaosPipelineSurvivesPartitionsWithoutDuplicates(t *testing.T) {
 	if got := cDegraded.Value() - degradedBefore; got < 1 {
 		t.Fatalf("darnet_core_degraded_classify_total moved by %d, want >= 1", got)
 	}
-	alerter, err := core.NewAlerter(0, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if c.Class == 0 {
 		t.Fatalf("degraded classification lost the distracted decision (class 0)")
 	}
-	if got := alerter.Observe(c.Class); got != core.AlertRaised {
-		t.Fatalf("alert event = %v, want raised: degraded mode must keep alerting", got)
+	// The served alert FSM halves degraded evidence: 1 − P(normal) ≤ 1 becomes
+	// ≤ 0.5, below the default 0.6 enter threshold, so a CNN-only window
+	// alone never raises an alert.
+	alerter, err := stream.NewAlerter(stream.AlertConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := alerter.Observe(time.Now(), c); got != stream.AlertNone || alerter.Active() {
+		t.Fatalf("alert event = %v, want none: degraded evidence alone must not raise", got)
 	}
 }

@@ -316,7 +316,7 @@ func setupStreaming(ctrl *collect.Controller, o streamOptions, out io.Writer) (*
 		QueueCap:     o.queueCap,
 		FrameSkipMax: o.skipMax,
 		Alert:        stream.AlertConfig{Dwell: o.dwell},
-		OnAlert: func(agentID string, ev core.AlertEvent, cls *core.Classification) {
+		OnAlert: func(agentID string, ev stream.AlertEvent, cls *core.Classification) {
 			log.Printf("alert %v agent=%s class=%d confidence=%.2f mode=%v", ev, agentID, cls.Class, cls.Confidence, cls.Mode)
 		},
 	}, stream.EngineTickerFactory(eng))

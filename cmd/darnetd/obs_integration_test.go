@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -65,13 +67,15 @@ func (w *syncWriter) String() string {
 }
 
 // obsClient is a hand-rolled wire agent for the observability integration
-// tests: it speaks the handshake, answers clock syncs, and can stamp batches
-// with trace context exactly the way collect.Agent's flush does.
+// tests: it speaks the handshake, answers clock syncs, can stamp batches
+// with trace context exactly the way collect.Agent's flush does, and holds a
+// batch back until the controller's admission grant covers it.
 type obsClient struct {
-	t   *testing.T
-	wc  *wire.Conn
-	id  string
-	seq uint64
+	t       *testing.T
+	wc      *wire.Conn
+	id      string
+	seq     uint64
+	credits uint32 // last admission grant; unlimited when the controller sends none
 }
 
 func dialObsClient(t *testing.T, addr, id string) *obsClient {
@@ -88,28 +92,45 @@ func dialObsClient(t *testing.T, addr, id string) *obsClient {
 	if err := wc.Send(&wire.Hello{AgentID: id, Modality: "imu", PeriodMillis: 25}); err != nil {
 		t.Fatal(err)
 	}
-	if msg, err := wc.Recv(); err != nil {
-		t.Fatal(err)
-	} else if _, ok := msg.(*wire.Ack); !ok {
-		t.Fatalf("handshake reply = %T, want *wire.Ack", msg)
-	}
-	return &obsClient{t: t, wc: wc, id: id}
+	c := &obsClient{t: t, wc: wc, id: id, credits: math.MaxUint32}
+	c.awaitAck("handshake")
+	return c
 }
 
 // sendBatch sends one batch (with the given trace context, zero for a legacy
 // v3-style peer) and consumes replies until the ack, answering any clock sync
-// on the way.
+// on the way. Like collect.Runner under a zero grant, it heartbeats instead
+// of sending while the grant is short of the batch, so no reading of a
+// (possibly sampled) batch is shed at the classify queue.
 func (c *obsClient) sendBatch(readings []wire.Reading, trace telemetry.SpanContext) *wire.Ack {
 	c.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.credits < uint32(len(readings)) {
+		if time.Now().After(deadline) {
+			c.t.Fatalf("admission grant stayed at %d, below the %d-reading batch", c.credits, len(readings))
+		}
+		time.Sleep(2 * time.Millisecond)
+		if err := c.wc.Send(&wire.Heartbeat{AgentID: c.id}); err != nil {
+			c.t.Fatal(err)
+		}
+		c.awaitAck("heartbeat")
+	}
 	c.seq++
 	batch := &wire.SampleBatch{AgentID: c.id, Seq: c.seq, Readings: readings, Trace: trace}
 	if err := c.wc.Send(batch); err != nil {
 		c.t.Fatalf("batch %d: %v", c.seq, err)
 	}
+	return c.awaitAck(fmt.Sprintf("batch %d", c.seq))
+}
+
+// awaitAck consumes replies until an ack, answering any clock sync on the
+// way, and records the ack's admission grant.
+func (c *obsClient) awaitAck(what string) *wire.Ack {
+	c.t.Helper()
 	for {
 		msg, err := c.wc.Recv()
 		if err != nil {
-			c.t.Fatalf("batch %d reply: %v", c.seq, err)
+			c.t.Fatalf("%s reply: %v", what, err)
 		}
 		switch m := msg.(type) {
 		case *wire.ClockSync:
@@ -117,9 +138,12 @@ func (c *obsClient) sendBatch(readings []wire.Reading, trace telemetry.SpanConte
 				c.t.Fatal(err)
 			}
 		case *wire.Ack:
+			if n, ok := wire.DecodeCredits(m.Credits); ok {
+				c.credits = n
+			}
 			return m
 		default:
-			c.t.Fatalf("batch %d reply = %T, want *wire.Ack", c.seq, msg)
+			c.t.Fatalf("%s reply = %T, want *wire.Ack", what, msg)
 		}
 	}
 }

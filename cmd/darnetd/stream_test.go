@@ -2,7 +2,6 @@ package main
 
 import (
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -144,58 +143,24 @@ func TestStreamingControllerIntegration(t *testing.T) {
 		serveController(ctrl, db, ln, opsLn, nil, stop, io.Discard)
 	}()
 
-	conn, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	wc := wire.NewConn(conn)
-	if err := wc.Send(&wire.Hello{AgentID: "stream-1", Modality: "imu", PeriodMillis: 25}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := wc.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, ok := msg.(*wire.Ack)
-	if !ok {
-		t.Fatalf("handshake reply = %T, want *wire.Ack", msg)
-	}
-	if n, ok := wire.DecodeCredits(ack.Credits); !ok || n != queueCap {
-		t.Fatalf("hello ack credits = (%d, %v), want (%d, true)", n, ok, queueCap)
+	c := dialObsClient(t, ln.Addr().String(), "stream-1")
+	if c.credits != queueCap {
+		t.Fatalf("hello ack credits = %d, want %d", c.credits, queueCap)
 	}
 
 	// One pre-fused IMU reading plus one frame per batch: both assembler fast
-	// paths feed the classify queue through the controller's sink offer.
+	// paths feed the classify queue through the controller's sink offer. The
+	// client holds each batch back while the grant is short of it, as
+	// collect.Runner does under a zero grant, so the queue never sheds the
+	// IMU samples the window needs.
 	frame := make([]float64, synth.DefaultConfig().ImgW*synth.DefaultConfig().ImgH)
-	var seq uint64
 	// At least imu.WindowSize pre-fused samples, so the engine completes an
 	// IMU window and the frame ticks can fuse into real decisions.
 	for i := 0; i < imu.WindowSize+5; i++ {
-		seq++
-		batch := &wire.SampleBatch{AgentID: "stream-1", Seq: seq, Readings: []wire.Reading{
+		ack := c.sendBatch([]wire.Reading{
 			{TimestampMillis: int64(1000 + 25*i), Sensor: "imu", Values: make([]float64, imu.FeatureDim)},
 			{TimestampMillis: int64(1000 + 25*i), Sensor: collect.FrameSensorName, Values: frame},
-		}}
-		if err := wc.Send(batch); err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-		for {
-			if msg, err = wc.Recv(); err != nil {
-				t.Fatalf("batch %d reply: %v", i, err)
-			}
-			if sync, ok := msg.(*wire.ClockSync); ok {
-				if err := wc.Send(&wire.ClockAck{AgentID: "stream-1", AgentMillis: sync.MasterMillis}); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			break
-		}
-		ack, ok = msg.(*wire.Ack)
-		if !ok {
-			t.Fatalf("batch %d reply = %T, want *wire.Ack", i, msg)
-		}
+		}, telemetry.SpanContext{})
 		if _, ok := wire.DecodeCredits(ack.Credits); !ok {
 			t.Fatalf("batch %d ack carries no admission grant", i)
 		}
@@ -205,8 +170,15 @@ func TestStreamingControllerIntegration(t *testing.T) {
 		t.Fatalf("streaming mux produced no decisions: %+v", mux.Stats())
 	}
 
+	// The last batches may leave the queue full (503 overloaded); once it
+	// drains the mux health source must report ok.
 	base := "http://" + opsLn.Addr().String()
-	if code, body := httpGet(t, base+"/healthz"); code != http.StatusOK {
+	var code int
+	var body string
+	if !waitUntil(5*time.Second, func() bool {
+		code, body = httpGet(t, base+"/healthz")
+		return code == http.StatusOK
+	}) {
 		t.Fatalf("/healthz = %d %q, want 200 from the mux health source", code, body)
 	}
 

@@ -12,6 +12,7 @@ import (
 	"darnet/internal/metrics"
 	"darnet/internal/nn"
 	"darnet/internal/privacy"
+	"darnet/internal/stream"
 	"darnet/internal/synth"
 	"darnet/internal/tsdb"
 	"darnet/internal/vision"
@@ -122,29 +123,35 @@ type (
 	// Network is a trainable feed-forward network (the CNN substrate).
 	Network = nn.Sequential
 
-	// Alerter debounces per-window classifications into driver/fleet alerts.
-	Alerter = core.Alerter
-	// AlertEvent is an alert state transition.
-	AlertEvent = core.AlertEvent
 	// MultiCombiner fuses any number of modality distributions (the paper's
 	// "extensible to more modalities" claim realized).
 	MultiCombiner = bayes.MultiCombiner
+
+	// Alerter is the evidence-debouncing alert state machine darnetd serves:
+	// it raises once 1 − P(normal), halved for degraded classifications, has
+	// stayed above the enter threshold for the dwell, and clears once it has
+	// stayed below the exit threshold as long.
+	Alerter = stream.Alerter
+	// AlertConfig sets the normal class, the enter/exit score band and the
+	// dwell.
+	AlertConfig = stream.AlertConfig
+	// AlertEvent is an alert state transition.
+	AlertEvent = stream.AlertEvent
 	// AlertReport scores episode-level alerting behaviour.
-	AlertReport = core.AlertReport
+	AlertReport = stream.AlertReport
 )
 
 // Alert state transitions.
 const (
-	AlertNone    = core.AlertNone
-	AlertRaised  = core.AlertRaised
-	AlertCleared = core.AlertCleared
+	AlertNone    = stream.AlertNone
+	AlertRaised  = stream.AlertRaised
+	AlertCleared = stream.AlertCleared
 )
 
-// NewAlerter returns an alert debouncer: an alert is raised after trigger
-// consecutive distracted windows and cleared after clear consecutive normal
-// windows.
-func NewAlerter(normalClass, trigger, clear int) (*Alerter, error) {
-	return core.NewAlerter(normalClass, trigger, clear)
+// NewAlerter fills cfg's defaults (enter 0.6, exit 0.4), validates it, and
+// returns an alerter with no alert raised.
+func NewAlerter(cfg AlertConfig) (*Alerter, error) {
+	return stream.NewAlerter(cfg)
 }
 
 // NewMultiCombiner returns an unfitted N-parent Bayesian Network combiner
@@ -159,11 +166,11 @@ func ECE(probs [][]float64, labels []int, bins int) (float64, error) {
 	return metrics.ECE(probs, labels, bins)
 }
 
-// EvaluateAlerts replays predicted window classes through an alerter and
-// scores episode-level detection and false-alert behaviour against the
-// ground truth.
-func EvaluateAlerts(trueLabels, predicted []int, normalClass, trigger, clear int) (AlertReport, error) {
-	return core.EvaluateAlerts(trueLabels, predicted, normalClass, trigger, clear)
+// EvaluateAlerts replays a session's window classifications, window i at
+// time i·period, through the Alerter darnetd serves and scores episode-level
+// detection and false-alert behaviour against the ground truth.
+func EvaluateAlerts(truth []int, preds []*Classification, period time.Duration, cfg AlertConfig) (AlertReport, error) {
+	return stream.EvaluateAlerts(truth, preds, period, cfg)
 }
 
 // Distortion levels (paper §4.3: none / 100×100 / 50×50 / 25×25 paths).

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 )
 
 func TestClassNames(t *testing.T) {
@@ -156,18 +157,36 @@ func TestProcessingPolicyFacade(t *testing.T) {
 }
 
 func TestAlerterFacade(t *testing.T) {
-	a, err := NewAlerter(int(NormalDriving), 2, 1)
+	a, err := NewAlerter(AlertConfig{NormalClass: int(NormalDriving), Dwell: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev := a.Observe(int(Texting)); ev != AlertNone {
+	texting := &Classification{Class: int(Texting), Probs: []float64{0.1, 0, 0.9, 0, 0, 0}}
+	normal := &Classification{Class: int(NormalDriving), Probs: []float64{0.9, 0, 0.1, 0, 0, 0}}
+	at := func(s int) time.Time { return time.Unix(int64(s), 0) }
+	if ev := a.Observe(at(1), texting); ev != AlertNone {
 		t.Fatalf("first distracted window = %v", ev)
 	}
-	if ev := a.Observe(int(Texting)); ev != AlertRaised {
+	if ev := a.Observe(at(2), texting); ev != AlertRaised {
 		t.Fatalf("second distracted window = %v", ev)
 	}
-	if ev := a.Observe(int(NormalDriving)); ev != AlertCleared {
-		t.Fatalf("normal window = %v", ev)
+	if ev := a.Observe(at(3), normal); ev != AlertNone {
+		t.Fatalf("first normal window = %v", ev)
+	}
+	if ev := a.Observe(at(4), normal); ev != AlertCleared {
+		t.Fatalf("second normal window = %v", ev)
+	}
+
+	report, err := EvaluateAlerts([]int{0, 2, 2, 0}, []*Classification{normal, texting, texting, normal},
+		time.Second, AlertConfig{Dwell: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Episodes != 1 || report.Detected != 1 || report.FalseAlerts != 0 {
+		t.Fatalf("facade report = %+v", report)
+	}
+	if _, err := NewAlerter(AlertConfig{Enter: 0.2, Exit: 0.8}); err == nil {
+		t.Fatal("inverted band accepted")
 	}
 }
 

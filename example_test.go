@@ -23,23 +23,35 @@ func ExampleClassNames() {
 }
 
 // The alerter debounces the per-window classification stream into the
-// paper's real-time driver alerts: two consecutive distracted windows raise,
-// two consecutive normal windows clear.
+// paper's real-time driver alerts. It scores each window's distracted
+// evidence, 1 − P(normal driving). The score must stay at or above 0.6 for
+// the dwell to raise, and at or below 0.4 as long to clear.
 func ExampleAlerter() {
-	alerter, err := darnet.NewAlerter(int(darnet.NormalDriving), 2, 2)
+	alerter, err := darnet.NewAlerter(darnet.AlertConfig{
+		NormalClass: int(darnet.NormalDriving),
+		Dwell:       2 * time.Second,
+	})
 	if err != nil {
 		panic(err)
 	}
-	stream := []darnet.Class{
-		darnet.NormalDriving,
-		darnet.Texting, // one window: no alert yet
-		darnet.Texting, // second consecutive: raise
-		darnet.NormalDriving,
-		darnet.NormalDriving, // second consecutive: clear
+	window := func(c darnet.Class, p float64) *darnet.Classification {
+		probs := make([]float64, darnet.NumClasses)
+		probs[darnet.NormalDriving] = 1 - p
+		probs[c] += p
+		return &darnet.Classification{Class: int(c), Probs: probs}
 	}
-	for _, c := range stream {
-		if ev := alerter.Observe(int(c)); ev != darnet.AlertNone {
-			fmt.Printf("%v -> alert %v\n", c, ev)
+	session := []*darnet.Classification{
+		window(darnet.NormalDriving, 0.1),
+		window(darnet.Texting, 0.9), // one window: the dwell starts
+		window(darnet.Texting, 0.8), // 5 s later, past the 2 s dwell: raise
+		window(darnet.NormalDriving, 0.2),
+		window(darnet.NormalDriving, 0.1), // sustained: clear
+	}
+	start := time.Unix(0, 0)
+	for i, c := range session {
+		now := start.Add(time.Duration(i) * 5 * time.Second) // 5 s IMU windows
+		if ev := alerter.Observe(now, c); ev != darnet.AlertNone {
+			fmt.Printf("%v -> alert %v\n", darnet.Class(c.Class), ev)
 		}
 	}
 	// Output:

@@ -14,12 +14,15 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"time"
 
+	"darnet/internal/bayes"
 	"darnet/internal/collect"
 	"darnet/internal/core"
 	"darnet/internal/imu"
 	"darnet/internal/nn"
 	"darnet/internal/rnn"
+	"darnet/internal/stream"
 	"darnet/internal/synth"
 	"darnet/internal/tensor"
 	"darnet/internal/tsdb"
@@ -158,29 +161,32 @@ func run() error {
 
 	// 5. Classify each window, pairing it with the nearest dashcam frame
 	// (the cross-modality alignment the fused classifier consumes), and feed
-	// the stream through the real-time alerter.
+	// the stream, each window at its mid-sample time, through the alert state
+	// machine darnetd serves, with darnetd's default 2 s dwell. The IMU model
+	// is this example's whole evidence, so its windows count as fused.
 	fmt.Printf("assembled %d windows; classifying:\n", len(windows))
 	names := []string{"normal", "talking", "texting"}
-	alerter, err := core.NewAlerter(synth.IMUNormal, 2, 2)
+	alerter, err := stream.NewAlerter(stream.AlertConfig{NormalClass: synth.IMUNormal, Dwell: 2 * time.Second})
 	if err != nil {
 		return err
 	}
 	for i, w := range windows {
-		pred, err := cls.Predict(stats.Normalize(w))
+		probs, err := cls.PredictProbs(stats.Normalize(w))
 		if err != nil {
 			return err
 		}
+		pred := bayes.ArgMax(probs)
 		mid := w.Samples[len(w.Samples)/2].TimestampMillis
 		frame, err := ctrl.FrameNear("dashcam", mid, 0)
 		if err != nil {
 			return err
 		}
-		event := alerter.Observe(pred)
+		event := alerter.Observe(time.UnixMilli(mid), &core.Classification{Class: pred, Probs: probs})
 		note := ""
 		switch event {
-		case core.AlertRaised:
+		case stream.AlertRaised:
 			note = "  << DISTRACTION ALERT RAISED"
-		case core.AlertCleared:
+		case stream.AlertCleared:
 			note = "  << alert cleared"
 		}
 		start := i * imu.WindowSize

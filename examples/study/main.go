@@ -14,12 +14,15 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"time"
 
+	"darnet/internal/bayes"
 	"darnet/internal/collect"
 	"darnet/internal/core"
 	"darnet/internal/imu"
 	"darnet/internal/nn"
 	"darnet/internal/rnn"
+	"darnet/internal/stream"
 	"darnet/internal/synth"
 	"darnet/internal/tensor"
 	"darnet/internal/tsdb"
@@ -95,22 +98,28 @@ func run() error {
 	}
 
 	// Evaluate on the held-out session, per window and per episode.
+	// The IMU model is this study's whole evidence, so its windows count as
+	// fused classifications.
 	hits := 0
-	preds := make([]int, len(testWindows))
+	preds := make([]*core.Classification, len(testWindows))
 	for i, w := range testWindows {
-		pred, err := cls.Predict(stats.Normalize(w))
+		probs, err := cls.PredictProbs(stats.Normalize(w))
 		if err != nil {
 			return err
 		}
-		preds[i] = pred
-		if pred == testLabels[i] {
+		preds[i] = &core.Classification{Class: bayes.ArgMax(probs), Probs: probs}
+		if preds[i].Class == testLabels[i] {
 			hits++
 		}
 	}
 	fmt.Printf("held-out session accuracy: %.1f%% (%d/%d windows)\n",
 		100*float64(hits)/float64(len(testWindows)), hits, len(testWindows))
 
-	report, err := core.EvaluateAlerts(testLabels, preds, synth.IMUNormal, 2, 2)
+	// Replay the windows through the alert state machine darnetd serves, at
+	// the 5 s window period and darnetd's default 2 s dwell.
+	period := time.Duration(imu.WindowSize) * time.Second / imu.SampleRateHz
+	report, err := stream.EvaluateAlerts(testLabels, preds, period,
+		stream.AlertConfig{NormalClass: synth.IMUNormal, Dwell: 2 * time.Second})
 	if err != nil {
 		return err
 	}

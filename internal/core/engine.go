@@ -328,19 +328,8 @@ func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Wi
 	start := time.Now()
 	_, span := telemetry.DefaultTracer.StartSpan(ctx, "darnet_stage_classify")
 	defer span.End()
-	haveFrame := len(frame) > 0
-	haveWindow := len(window.Samples) > 0
-	if !haveFrame && !haveWindow {
-		mClassifyErrors.Inc()
-		return nil, fmt.Errorf("core: both modalities absent, nothing to classify")
-	}
-	if haveFrame && len(frame) != e.ImgW*e.ImgH {
-		mClassifyErrors.Inc()
-		return nil, fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
-	}
-
 	var cnnProbs []float64
-	if haveFrame {
+	if len(frame) > 0 {
 		cnnSp := span.StartChild("darnet_stage_cnn_forward")
 		probs, err := e.cnnForward(frame)
 		cnnSp.End()
@@ -352,16 +341,14 @@ func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Wi
 	}
 
 	var rnnProbs []float64
-	if haveWindow {
+	if len(window.Samples) > 0 {
 		rnnSp := span.StartChild("darnet_stage_rnn_forward")
-		rnnStart := time.Now()
-		probs, err := e.RNN.PredictProbs(e.IMUStats.Normalize(window))
+		probs, err := e.rnnForward(window)
 		rnnSp.End()
 		if err != nil {
 			mClassifyErrors.Inc()
-			return nil, fmt.Errorf("core: rnn inference: %w", err)
+			return nil, err
 		}
-		hRNNForward.ObserveSince(rnnStart)
 		rnnProbs = probs
 	}
 
@@ -374,6 +361,18 @@ func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Wi
 	}
 	hClassify.ObserveSince(start)
 	return out, nil
+}
+
+// rnnForward runs the RNN over one normalized window and returns the class
+// distribution, feeding the darnet_core_rnn_forward_seconds histogram.
+func (e *Engine) rnnForward(window imu.Window) ([]float64, error) {
+	start := time.Now()
+	probs, err := e.RNN.PredictProbs(e.IMUStats.Normalize(window))
+	if err != nil {
+		return nil, fmt.Errorf("core: rnn inference: %w", err)
+	}
+	hRNNForward.ObserveSince(start)
+	return probs, nil
 }
 
 // cnnForward runs the frame CNN over one flattened frame and returns the

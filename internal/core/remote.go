@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"darnet/internal/bayes"
 	"darnet/internal/collect"
 	"darnet/internal/imu"
 	"darnet/internal/privacy"
@@ -95,7 +94,8 @@ func (e *Engine) answer(ctx context.Context, req *wire.ClassifyRequest) *wire.Cl
 
 // classifyDistorted fuses a privacy-distorted frame through the matching
 // dCNN (Figure 3: the analytics engine "picks the appropriate classifier")
-// with the IMU window through the usual RNN + Bayesian Network path.
+// with the IMU window through the same RNN forward and Bayesian Network
+// fusion ClassifyCtx uses.
 func (e *Engine) classifyDistorted(frame []float64, level collect.DistortionLevel, window imu.Window) (*Classification, error) {
 	if e.dcnn == nil {
 		return nil, fmt.Errorf("core: no dCNN router attached for distortion level %v", level)
@@ -106,15 +106,11 @@ func (e *Engine) classifyDistorted(frame []float64, level collect.DistortionLeve
 	if err != nil {
 		return nil, err
 	}
-	rnnProbs, err := e.RNN.PredictProbs(e.IMUStats.Normalize(window))
+	rnnProbs, err := e.rnnForward(window)
 	if err != nil {
-		return nil, fmt.Errorf("core: rnn inference: %w", err)
+		return nil, err
 	}
-	post, err := e.BNWithRNN.Combine(cnnProbs, rnnProbs)
-	if err != nil {
-		return nil, fmt.Errorf("core: bn combine: %w", err)
-	}
-	return &Classification{Class: bayes.ArgMax(post), Probs: post, CNNProbs: cnnProbs, RNNProbs: rnnProbs}, nil
+	return e.fuse(cnnProbs, rnnProbs)
 }
 
 // SetDCNNRouter attaches the level-tagged dCNN classifiers the remote server

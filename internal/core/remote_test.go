@@ -9,6 +9,7 @@ import (
 	"darnet/internal/collect"
 	"darnet/internal/imu"
 	"darnet/internal/privacy"
+	"darnet/internal/vision"
 	"darnet/internal/wire"
 )
 
@@ -212,5 +213,64 @@ func TestRemoteClassifyDistortedRoutesThroughDCNN(t *testing.T) {
 	raw.Close()
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClassifyDistortedFusesLikeClassify checks that a distorted remote
+// request goes through the same RNN forward and Bayesian Network fusion as
+// ClassifyCtx: the posterior is fuse(dCNN probs, RNN probs), the confidence
+// is the posterior peak, and the classification is counted and timed.
+func TestClassifyDistortedFusesLikeClassify(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test skipped in -short mode")
+	}
+	eng, train := trainTinyEngine(t)
+	router := privacy.NewRouter()
+	router.Register(collect.DistortLow, eng.CNN)
+	eng.SetDCNNRouter(router)
+	frame, window := train.Frames.Row(1), train.Windows[1]
+
+	classified, bn, rnnFwd := mClassifications.Value(), hBNCombine.Count(), hRNNForward.Count()
+	got, err := eng.classifyDistorted(frame, collect.DistortLow, window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := mClassifications.Value() - classified; d != 1 {
+		t.Fatalf("darnet_core_classifications_total moved by %d, want 1", d)
+	}
+	if d := hBNCombine.Count() - bn; d != 1 {
+		t.Fatalf("darnet_core_bn_combine_seconds observed %d times, want 1", d)
+	}
+	if d := hRNNForward.Count() - rnnFwd; d != 1 {
+		t.Fatalf("darnet_core_rnn_forward_seconds observed %d times, want 1", d)
+	}
+
+	img := vision.MustNewImage(eng.ImgW, eng.ImgH)
+	copy(img.Pix, frame)
+	cnnProbs, err := router.Classify(&privacy.TaggedFrame{Level: collect.DistortLow, Image: img})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnnProbs, err := eng.RNN.PredictProbs(eng.IMUStats.Normalize(window))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eng.fuse(cnnProbs, rnnProbs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode != ModeFused || got.Class != want.Class {
+		t.Fatalf("distorted classification = class %d mode %v, want class %d fused", got.Class, got.Mode, want.Class)
+	}
+	for i := range want.Probs {
+		if got.Probs[i] != want.Probs[i] {
+			t.Fatalf("posterior[%d] = %v, want fuse(dCNN, RNN) = %v", i, got.Probs[i], want.Probs[i])
+		}
+	}
+	if got.Confidence != got.Probs[got.Class] || got.Confidence == 0 {
+		t.Fatalf("confidence %v, want posterior peak %v", got.Confidence, got.Probs[got.Class])
+	}
+	if len(got.CNNProbs) != eng.Classes || len(got.RNNProbs) != eng.IMUClasses {
+		t.Fatalf("parent distributions missing: cnn %v rnn %v", got.CNNProbs, got.RNNProbs)
 	}
 }

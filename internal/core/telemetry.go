@@ -3,7 +3,7 @@ package core
 import "darnet/internal/telemetry"
 
 // Analytics-engine metrics: fused-inference latency broken down by model
-// stage, remote classify-service traffic, and alert-state transitions.
+// stage, remote classify-service traffic, and degraded-mode fallbacks.
 var (
 	mClassifications = telemetry.NewCounter("darnet_core_classifications_total", "fused classifications served")
 	mClassifyErrors  = telemetry.NewCounter("darnet_core_classify_errors_total", "classifications aborted by a model or validation error")
@@ -17,8 +17,4 @@ var (
 	hRemoteRequest  = telemetry.NewHistogram("darnet_core_remote_request_seconds", "server-side handling of one classify request", nil)
 
 	mDegraded = telemetry.NewCounter("darnet_core_degraded_classify_total", "classifications served in degraded single-modality mode because a modality was absent")
-
-	mAlertsRaised  = telemetry.NewCounter("darnet_core_alerts_raised_total", "distracted-driving alerts raised")
-	mAlertsCleared = telemetry.NewCounter("darnet_core_alerts_cleared_total", "alerts cleared after sustained normal driving")
-	gAlertActive   = telemetry.NewGauge("darnet_core_alert_active", "1 while a distracted-driving alert is raised")
 )

@@ -2,8 +2,9 @@
 // bounded classify work queue fed by the collection controller, drained by a
 // worker that advances the incremental RNN stream sample by sample, with
 // credit-based backpressure to the agent's spill buffer, frame-skip
-// degradation under load, a hysteretic alert state machine, and a watchdog
-// that restarts a stalled stage.
+// degradation under load, the hysteretic alert state machine (EvaluateAlerts
+// replays recorded sessions through the same Alerter), and a watchdog that
+// restarts a stalled stage.
 //
 // The robustness contract: when input outruns classification, memory stays
 // bounded (queue at cap, spill at cap, assembler at cap — everything else
@@ -68,7 +69,7 @@ type Config struct {
 	Now func() time.Time
 	// OnAlert, when non-nil, receives every alert transition with the
 	// classification that caused it. Called from the worker goroutine.
-	OnAlert func(agentID string, ev core.AlertEvent, cls *core.Classification)
+	OnAlert func(agentID string, ev AlertEvent, cls *core.Classification)
 	// OnDecision, when non-nil, receives every completed-window
 	// classification. Called from the worker goroutine.
 	OnDecision func(agentID string, cls *core.Classification)
@@ -167,7 +168,7 @@ type Pipeline struct {
 	asm *assembler
 
 	alertMu sync.Mutex // guards alert across worker generations
-	alert   alertFSM
+	alert   Alerter
 
 	enqueued      atomic.Int64
 	shedReadings  atomic.Int64
@@ -201,7 +202,7 @@ func NewPipeline(agentID string, cfg Config, f TickerFactory) (*Pipeline, error)
 		queue:     make(chan Input, cfg.QueueCap),
 		stop:      make(chan struct{}),
 		asm:       newAssembler(),
-		alert:     alertFSM{cfg: cfg.Alert},
+		alert:     Alerter{cfg: cfg.Alert},
 	}
 	p.lastProgress.Store(cfg.Now().UnixNano())
 	p.wg.Add(2)
@@ -396,19 +397,19 @@ func (p *Pipeline) runTick(tk Ticker, in Input, skipStreak *int) {
 
 	alertSp := root.StartChild("darnet_stage_alert")
 	p.alertMu.Lock()
-	ev := p.alert.observe(now, cls)
+	ev := p.alert.Observe(now, cls)
 	p.alertMu.Unlock()
 	switch ev {
-	case core.AlertRaised:
+	case AlertRaised:
 		p.alertsRaised.Add(1)
 		mAlertsRaised.Inc()
 		gAlertActive.Add(1)
-	case core.AlertCleared:
+	case AlertCleared:
 		p.alertsCleared.Add(1)
 		mAlertsCleared.Inc()
 		gAlertActive.Add(-1)
 	}
-	if ev != core.AlertNone && p.cfg.OnAlert != nil {
+	if ev != AlertNone && p.cfg.OnAlert != nil {
 		p.cfg.OnAlert(p.agentID, ev, cls)
 	}
 	if p.cfg.OnDecision != nil {
@@ -465,7 +466,7 @@ func (p *Pipeline) checkStall() {
 func (p *Pipeline) AlertActive() bool {
 	p.alertMu.Lock()
 	defer p.alertMu.Unlock()
-	return p.alert.active
+	return p.alert.Active()
 }
 
 // Skipping reports whether frame-skip degradation is currently engaged.

@@ -171,33 +171,33 @@ func TestFrameSkipHysteresis(t *testing.T) {
 // TestAlertHysteresisAndDwell unit-tests the FSM with a fake clock: the score
 // band plus dwell must both be crossed, and raise/clear strictly alternate.
 func TestAlertHysteresisAndDwell(t *testing.T) {
-	fsm := alertFSM{cfg: AlertConfig{NormalClass: 0, Enter: 0.6, Exit: 0.4, Dwell: 100 * time.Millisecond}}
+	fsm := Alerter{cfg: AlertConfig{NormalClass: 0, Enter: 0.6, Exit: 0.4, Dwell: 100 * time.Millisecond}}
 	at := func(ms int64) time.Time { return time.Unix(0, ms*int64(time.Millisecond)) }
 
-	if ev := fsm.observe(at(0), cls(0.9)); ev != core.AlertNone {
+	if ev := fsm.Observe(at(0), cls(0.9)); ev != AlertNone {
 		t.Fatalf("first qualifying window raised immediately despite dwell: %v", ev)
 	}
-	if ev := fsm.observe(at(50), cls(0.9)); ev != core.AlertNone {
+	if ev := fsm.Observe(at(50), cls(0.9)); ev != AlertNone {
 		t.Fatalf("raised before dwell elapsed: %v", ev)
 	}
 	// Dip below Enter resets the dwell clock.
-	if ev := fsm.observe(at(60), cls(0.3)); ev != core.AlertNone {
+	if ev := fsm.Observe(at(60), cls(0.3)); ev != AlertNone {
 		t.Fatal("dip must not transition")
 	}
-	if ev := fsm.observe(at(70), cls(0.9)); ev != core.AlertNone {
+	if ev := fsm.Observe(at(70), cls(0.9)); ev != AlertNone {
 		t.Fatal("dwell must restart after the dip")
 	}
-	if ev := fsm.observe(at(200), cls(0.9)); ev != core.AlertRaised {
+	if ev := fsm.Observe(at(200), cls(0.9)); ev != AlertRaised {
 		t.Fatalf("sustained evidence past dwell must raise, got %v", ev)
 	}
 	// Mid-band score (between Exit and Enter) keeps the alert raised.
-	if ev := fsm.observe(at(250), cls(0.5)); ev != core.AlertNone || !fsm.active {
+	if ev := fsm.Observe(at(250), cls(0.5)); ev != AlertNone || !fsm.active {
 		t.Fatal("mid-band score must not clear (hysteresis)")
 	}
-	if ev := fsm.observe(at(300), cls(0.2)); ev != core.AlertNone {
+	if ev := fsm.Observe(at(300), cls(0.2)); ev != AlertNone {
 		t.Fatal("clear must also dwell")
 	}
-	if ev := fsm.observe(at(450), cls(0.2)); ev != core.AlertCleared {
+	if ev := fsm.Observe(at(450), cls(0.2)); ev != AlertCleared {
 		t.Fatalf("sustained normal past dwell must clear, got %v", ev)
 	}
 
@@ -205,8 +205,8 @@ func TestAlertHysteresisAndDwell(t *testing.T) {
 	// Enter, so a degraded stream alone cannot raise.
 	deg := cls(0.9)
 	deg.Mode = core.ModeRNNOnly
-	fsm2 := alertFSM{cfg: AlertConfig{NormalClass: 0, Enter: 0.6, Exit: 0.4}}
-	if ev := fsm2.observe(at(0), deg); ev != core.AlertNone || fsm2.active {
+	fsm2 := Alerter{cfg: AlertConfig{NormalClass: 0, Enter: 0.6, Exit: 0.4}}
+	if ev := fsm2.Observe(at(0), deg); ev != AlertNone || fsm2.active {
 		t.Fatal("discounted degraded evidence must not cross Enter")
 	}
 }
@@ -416,11 +416,11 @@ func TestPipelineAlertsEndToEnd(t *testing.T) {
 		return nil, false, nil
 	}}
 	var mu sync.Mutex
-	var events []core.AlertEvent
+	var events []AlertEvent
 	p, err := NewPipeline("a", Config{
 		QueueCap: 32, StallTimeout: time.Hour,
 		Alert: AlertConfig{NormalClass: 0, Enter: 0.6, Exit: 0.4, Dwell: 0},
-		OnAlert: func(_ string, ev core.AlertEvent, _ *core.Classification) {
+		OnAlert: func(_ string, ev AlertEvent, _ *core.Classification) {
 			mu.Lock()
 			events = append(events, ev)
 			mu.Unlock()
@@ -439,7 +439,7 @@ func TestPipelineAlertsEndToEnd(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	want := []core.AlertEvent{core.AlertRaised, core.AlertCleared, core.AlertRaised}
+	want := []AlertEvent{AlertRaised, AlertCleared, AlertRaised}
 	if fmt.Sprint(events) != fmt.Sprint(want) {
 		t.Fatalf("alert transitions = %v, want %v", events, want)
 	}

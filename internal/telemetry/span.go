@@ -19,15 +19,25 @@ var DefaultTracer = NewTracer(32, 64)
 // traces. Unsampled spans are recycled through a pool, so the span
 // start/stop hot path is allocation-free after warm-up; only the 1-in-N
 // sampled traces allocate (their trees are retained for /tracez).
+//
+// Retention counts traces, not fragments: a sampled batch joins a stream
+// tick fragment per admitted input, which must not evict the batch's own
+// flush root. The oldest trace is evicted whole, and each trace keeps at
+// most maxJoinedPerTrace remotely joined fragments.
 type Tracer struct {
 	sampleEvery int64 // 0 disables sampling entirely; 1 samples every root
-	capacity    int
+	capacity    int   // retained traces
 	seq         atomic.Int64
 	pool        sync.Pool
 
-	mu     sync.Mutex
-	recent []*Span // completed sampled roots, oldest first
+	mu        sync.Mutex
+	recent    []*Span        // completed sampled root fragments, oldest first
+	fragments map[uint64]int // trace ID -> its fragments in recent
 }
+
+// maxJoinedPerTrace bounds the remotely joined fragments one retained trace
+// keeps; later ones are dropped. A trace's local root is always kept.
+const maxJoinedPerTrace = 32
 
 // NewTracer returns a tracer keeping up to capacity completed traces and
 // sampling the first of every sampleEvery root spans (0 = never sample,
@@ -36,7 +46,7 @@ func NewTracer(capacity, sampleEvery int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	t := &Tracer{sampleEvery: int64(sampleEvery), capacity: capacity}
+	t := &Tracer{sampleEvery: int64(sampleEvery), capacity: capacity, fragments: make(map[uint64]int)}
 	t.pool.New = func() any { return &Span{} }
 	return t
 }
@@ -152,9 +162,23 @@ func (s *Span) DurationNanos() int64 {
 func (t *Tracer) record(root *Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	n := t.fragments[root.traceID]
+	if root.remoteParent != 0 && n >= maxJoinedPerTrace {
+		return
+	}
 	t.recent = append(t.recent, root)
-	if len(t.recent) > t.capacity {
-		t.recent = t.recent[len(t.recent)-t.capacity:]
+	t.fragments[root.traceID] = n + 1
+	for len(t.fragments) > t.capacity {
+		oldest := t.recent[0].traceID
+		kept := t.recent[:0]
+		for _, s := range t.recent {
+			if s.traceID != oldest {
+				kept = append(kept, s)
+			}
+		}
+		clear(t.recent[len(kept):])
+		t.recent = kept
+		delete(t.fragments, oldest)
 	}
 }
 

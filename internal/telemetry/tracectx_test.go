@@ -174,3 +174,49 @@ func TestTraceContextPropagationAllocationFree(t *testing.T) {
 		t.Fatalf("unsampled propagation allocates %.1f per op, want 0", n)
 	}
 }
+
+// TestLargeTraceKeepsItsRoot pins per-trace retention: a sampled batch whose
+// stream ticks join far more fragments than the ring's capacity must not
+// evict its own flush root and ingest fragment, and the joined fragments it
+// keeps are bounded.
+func TestLargeTraceKeepsItsRoot(t *testing.T) {
+	tr := NewTracer(4, 1)
+	older := tr.StartRoot("darnet_agent_flush_batch")
+	older.End()
+
+	flush := tr.StartRoot("darnet_agent_flush_batch")
+	ingest := tr.JoinRemote("darnet_ingest_batch", flush.Context())
+	offer := ingest.StartChild("darnet_stage_stream_offer")
+	oc := offer.Context()
+	offer.End()
+	ingest.End()
+	for i := 0; i < 10*maxJoinedPerTrace; i++ {
+		tr.JoinRemote("darnet_stream_tick", oc).End()
+	}
+	flush.End()
+
+	if got := len(tr.RecentTraces()); got != 2+maxJoinedPerTrace {
+		t.Fatalf("ring holds %d fragments, want both flush roots plus %d joined", got, maxJoinedPerTrace)
+	}
+	merged := tr.MergedTraces()
+	if len(merged) != 2 || merged[0].Name != "darnet_agent_flush_batch" || merged[1].Name != "darnet_agent_flush_batch" {
+		t.Fatalf("want two flush-rooted traces, got %+v", merged)
+	}
+	ing := findChild(merged[1], "darnet_ingest_batch")
+	if ing == nil {
+		t.Fatal("ingest fragment evicted by its own ticks")
+	}
+	if off := findChild(ing, "darnet_stage_stream_offer"); off == nil || len(off.Children) != maxJoinedPerTrace-1 {
+		t.Fatalf("offer keeps %v tick fragments, want %d", off, maxJoinedPerTrace-1)
+	}
+
+	// Whole traces age out oldest first once capacity traces are exceeded.
+	for i := 0; i < 4; i++ {
+		tr.StartRoot("darnet_trace").End()
+	}
+	for _, n := range tr.RecentTraces() {
+		if n.Name != "darnet_trace" {
+			t.Fatalf("older trace fragment %q survived eviction", n.Name)
+		}
+	}
+}

@@ -66,9 +66,9 @@ func TestStreamingSurvivesChaosWhileSaturated(t *testing.T) {
 	// --- Alert transition log ----------------------------------------------
 	var (
 		evMu   sync.Mutex
-		events []core.AlertEvent
+		events []stream.AlertEvent
 	)
-	countEv := func(want core.AlertEvent) int {
+	countEv := func(want stream.AlertEvent) int {
 		evMu.Lock()
 		defer evMu.Unlock()
 		n := 0
@@ -85,7 +85,7 @@ func TestStreamingSurvivesChaosWhileSaturated(t *testing.T) {
 		QueueCap:     queueCap,
 		FrameSkipMax: 2,
 		Alert:        stream.AlertConfig{NormalClass: 0, Dwell: 50 * time.Millisecond},
-		OnAlert: func(agentID string, ev core.AlertEvent, cls *core.Classification) {
+		OnAlert: func(agentID string, ev stream.AlertEvent, cls *core.Classification) {
 			evMu.Lock()
 			events = append(events, ev)
 			evMu.Unlock()
@@ -182,7 +182,7 @@ func TestStreamingSurvivesChaosWhileSaturated(t *testing.T) {
 			select {
 			case <-deadline:
 				evMu.Lock()
-				got := append([]core.AlertEvent(nil), events...)
+				got := append([]stream.AlertEvent(nil), events...)
 				evMu.Unlock()
 				t.Fatalf("%s never happened (events=%v stats=%+v reconnects=%d err=%v)",
 					what, got, mux.Stats(), runner.Reconnects(), runner.Err())
@@ -190,11 +190,11 @@ func TestStreamingSurvivesChaosWhileSaturated(t *testing.T) {
 			}
 		}
 	}
-	waitEv("first alert raise under saturation", func() bool { return countEv(core.AlertRaised) >= 1 })
+	waitEv("first alert raise under saturation", func() bool { return countEv(stream.AlertRaised) >= 1 })
 	distracted.Store(false)
-	waitEv("alert clear after evidence subsides", func() bool { return countEv(core.AlertCleared) >= 1 })
+	waitEv("alert clear after evidence subsides", func() bool { return countEv(stream.AlertCleared) >= 1 })
 	distracted.Store(true)
-	waitEv("re-raise after recovery", func() bool { return countEv(core.AlertRaised) >= 2 })
+	waitEv("re-raise after recovery", func() bool { return countEv(stream.AlertRaised) >= 2 })
 	// Both scheduled partitions must have fired while the stream was running.
 	waitEv("both partitions survived", func() bool { return runner.Reconnects() >= 2 })
 
@@ -223,7 +223,7 @@ func TestStreamingSurvivesChaosWhileSaturated(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no alert transitions at all")
 	}
-	if events[0] != core.AlertRaised {
+	if events[0] != stream.AlertRaised {
 		t.Fatalf("first transition = %v, want raised", events[0])
 	}
 	for i := 1; i < len(events); i++ {
