@@ -1,11 +1,16 @@
 # DarNet verify gate. `make verify` is the tier-1 check every change must
 # pass: formatting, go vet, the project's own static analyzers
-# (cmd/darnet-lint), a full build and test sweep, and the race detector over
-# the concurrent middleware packages.
+# (cmd/darnet-lint), a full build and test sweep, the race detector over
+# the concurrent middleware packages and the model packages they share, and
+# one pass of the per-layer kernel benchmarks.
 
 GO ?= go
 
-RACE_PKGS = ./internal/collect ./internal/tsdb ./internal/core ./internal/telemetry ./internal/fault ./internal/stream ./internal/obs ./internal/durable
+RACE_PKGS = ./internal/collect ./internal/tsdb ./internal/core ./internal/telemetry ./internal/fault ./internal/stream ./internal/obs ./internal/durable ./internal/nn ./internal/rnn
+
+# bench-kernels iteration count; verify runs each kernel once so the ledger
+# keeps compiling and running, `make bench-kernels` measures.
+KERNEL_BENCHTIME ?= 2000x
 
 # bench-smoke artifact location; override with BENCH_OUT=BENCH_PR3.json to
 # refresh the committed benchmark (then bump the scale/epochs back up).
@@ -24,7 +29,7 @@ OBS_OUT ?= /tmp/darnet-obs-smoke.json
 CRASH_OUT ?= /tmp/darnet-crash-smoke.json
 CRASH_SCALE ?= 0.01
 
-.PHONY: verify fmt vet lint lint-module lint-fast lint-concurrency build test race perfbench-test bench-smoke stream-smoke obs-smoke crash-smoke chaos
+.PHONY: verify fmt vet lint lint-module lint-fast lint-concurrency build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos
 
 # The module-scope lint sweep in verify must finish inside this many
 # milliseconds: the analyzers are part of the inner loop, and a regression
@@ -33,6 +38,7 @@ CRASH_SCALE ?= 0.01
 LINT_BUDGET_MS ?= 2000
 
 verify: fmt vet lint build test race perfbench-test stream-smoke obs-smoke crash-smoke
+	$(MAKE) bench-kernels KERNEL_BENCHTIME=1x
 	@echo "verify: OK"
 
 fmt:
@@ -87,6 +93,12 @@ race:
 # an API change in the packages it imports fails verify, not the benchmark.
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-kernels is the per-layer kernel ledger: one sub-benchmark per
+# MicroInception layer (internal/nn) and per BiLSTM layer (internal/rnn) on
+# a warm inference workspace, with ns/op, allocs/op, FLOPs and GFLOP/s.
+bench-kernels:
+	$(GO) test -run '^$$' -bench BenchmarkInferLayers -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn
 
 # bench-smoke trains a deliberately tiny configuration, probes the serving
 # path, writes the machine-readable benchmark, and validates its schema. The

@@ -146,3 +146,22 @@ func TestClassifyModeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestClassifyNonFinitePixel: frame pixels come off the wire checked only
+// for count, so a NaN pixel must classify like any frame (the CNN's ReLU
+// maps the NaN activations it causes to 0) rather than poison the
+// posterior.
+func TestClassifyNonFinitePixel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("engine training skipped in -short mode")
+	}
+	eng, train := trainTinyEngine(t)
+	frame := append([]float64(nil), train.Frames.Row(0)...)
+	frame[len(frame)/2] = math.NaN()
+	c, err := eng.Classify(frame, train.Windows[0])
+	if err != nil {
+		t.Fatalf("classify with a NaN pixel: %v", err)
+	}
+	checkDistribution(t, c.CNNProbs, eng.Classes)
+	checkDistribution(t, c.Probs, eng.Classes)
+}

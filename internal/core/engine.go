@@ -196,7 +196,7 @@ func Train(train *Data, cfg TrainConfig) (*Engine, error) {
 	cfg.progress("svm", 0, 0)
 
 	// --- Bayesian Network combiners ------------------------------------------
-	cnnPred, err := nn.PredictClasses(cnn, train.Frames, 64)
+	cnnPred, err := nn.PredictClasses(cnn, train.Frames)
 	if err != nil {
 		return nil, fmt.Errorf("core: cnn train predictions: %w", err)
 	}
@@ -381,17 +381,13 @@ func (e *Engine) cnnForward(frame []float64) ([]float64, error) {
 	if len(frame) != e.ImgW*e.ImgH {
 		return nil, fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
 	}
-	x, err := tensor.FromSlice(frame, 1, len(frame))
-	if err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	probs, err := nn.PredictProbs(e.CNN, x, 1)
+	probs, err := e.CNN.Probs(frame)
 	if err != nil {
 		return nil, fmt.Errorf("core: cnn inference: %w", err)
 	}
 	hCNNForward.ObserveSince(start)
-	return append([]float64(nil), probs.Row(0)...), nil
+	return probs, nil
 }
 
 // fuse combines the per-modality distributions through the Bayesian Network.

@@ -53,7 +53,7 @@ func (e *Engine) Evaluate(test *Data, classNames []string) (*Evaluation, error) 
 	n := test.Len()
 
 	// Per-modality probability distributions.
-	cnnProbs, err := nn.PredictProbs(e.CNN, test.Frames, 64)
+	cnnProbs, err := nn.PredictProbs(e.CNN, test.Frames)
 	if err != nil {
 		return nil, fmt.Errorf("core: cnn test probs: %w", err)
 	}
@@ -161,7 +161,7 @@ func (e *Engine) Evaluate(test *Data, classNames []string) (*Evaluation, error) 
 // EvaluateCNNOnly evaluates only the frame CNN (used by image-only datasets
 // like the 18-class privacy set).
 func EvaluateCNNOnly(cnn *nn.Sequential, frames *tensor.Tensor, labels []int) (float64, error) {
-	pred, err := nn.PredictClasses(cnn, frames, 64)
+	pred, err := nn.PredictClasses(cnn, frames)
 	if err != nil {
 		return 0, err
 	}

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -188,6 +189,9 @@ func (l *Loader) lookup(path string) (io.ReadCloser, error) {
 // LoadDir parses and type-checks the non-test .go files of one directory as
 // the package importPath. Test files are excluded: the rules that distinguish
 // tests do so for fixture files, and production invariants bind non-test code.
+// Files whose build constraints (//go:build lines, _GOOS/_GOARCH name
+// suffixes) exclude them from the default build of this platform are
+// skipped, as the compiler skips them.
 func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -197,6 +201,11 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	for _, e := range ents {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

@@ -74,3 +74,24 @@ func TestLoadDirTypeError(t *testing.T) {
 		t.Fatalf("error carries no source position: %v", err)
 	}
 }
+
+// TestLoadDirBuildConstraints: a package with per-build implementations of
+// one function (portable vs. tagged, as for an assembly kernel and its Go
+// fallback) must load the files the default build selects, not both.
+func TestLoadDirBuildConstraints(t *testing.T) {
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	dir := filepath.Join("testdata", "src", "loadtags")
+	pkg, err := loader.LoadDir(dir, "darnet/internal/lintfixture/loadtags")
+	if err != nil {
+		t.Fatalf("load build-constraint fixture: %v", err)
+	}
+	if len(pkg.Files) != 2 {
+		t.Fatalf("loaded %d files, want portable.go and use.go", len(pkg.Files))
+	}
+	if diags := lint.Run(pkg, lint.All()); len(diags) != 0 {
+		t.Fatalf("build-constraint fixture must be clean under the full suite, got %v", diags)
+	}
+}

@@ -48,36 +48,41 @@ func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 		return nil, errBadWidth(a.name, a.inDim, x.Dim(x.Dims()-1))
 	}
 	n := x.Dim(0)
+	out := tensor.New(n, g.InC*g.OutH()*g.OutW())
+	for s := 0; s < n; s++ {
+		a.pool(x.Row(s), out.Row(s))
+	}
+	return out, nil
+}
+
+// pool average-pools one sample; Forward and Infer share it.
+func (a *AvgPool2D) pool(xrow, orow []float64) {
+	g := a.geom
 	outH, outW := g.OutH(), g.OutW()
 	spatial := outH * outW
 	inv := 1.0 / float64(g.KH*g.KW)
-	out := tensor.New(n, g.InC*spatial)
-	for s := 0; s < n; s++ {
-		xrow, orow := x.Row(s), out.Row(s)
-		for c := 0; c < g.InC; c++ {
-			chanOff := c * g.InH * g.InW
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					sum := 0.0
-					for kh := 0; kh < g.KH; kh++ {
-						ih := oh*g.StrideH + kh - g.PadH
-						if ih < 0 || ih >= g.InH {
+	for c := 0; c < g.InC; c++ {
+		chanOff := c * g.InH * g.InW
+		for oh := 0; oh < outH; oh++ {
+			for ow := 0; ow < outW; ow++ {
+				sum := 0.0
+				for kh := 0; kh < g.KH; kh++ {
+					ih := oh*g.StrideH + kh - g.PadH
+					if ih < 0 || ih >= g.InH {
+						continue
+					}
+					for kw := 0; kw < g.KW; kw++ {
+						iw := ow*g.StrideW + kw - g.PadW
+						if iw < 0 || iw >= g.InW {
 							continue
 						}
-						for kw := 0; kw < g.KW; kw++ {
-							iw := ow*g.StrideW + kw - g.PadW
-							if iw < 0 || iw >= g.InW {
-								continue
-							}
-							sum += xrow[chanOff+ih*g.InW+iw]
-						}
+						sum += xrow[chanOff+ih*g.InW+iw]
 					}
-					orow[c*spatial+oh*outW+ow] = sum * inv
 				}
+				orow[c*spatial+oh*outW+ow] = sum * inv
 			}
 		}
 	}
-	return out, nil
 }
 
 // Backward implements Layer: each input position receives the mean of the

@@ -86,34 +86,30 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	}
 	cols := c.cols[:pr*spatial]
 
-	wd := c.w.Value.Data()
-	bd := c.b.Value.Data()
 	for s := 0; s < n; s++ {
 		c.geom.Im2Col(x.Row(s), cols)
-		orow := out.Row(s)
-		// y[oc, p] = sum_r w[oc, r] * cols[r, p] + b[oc]
-		for oc := 0; oc < c.outC; oc++ {
-			wrow := wd[oc*pr : (oc+1)*pr]
-			dst := orow[oc*spatial : (oc+1)*spatial]
-			bias := bd[oc]
-			for p := range dst {
-				dst[p] = bias
-			}
-			for r, wv := range wrow {
-				if wv == 0 {
-					continue
-				}
-				crow := cols[r*spatial : (r+1)*spatial]
-				for p, cv := range crow {
-					dst[p] += wv * cv
-				}
-			}
-		}
+		c.convCols(cols, out.Row(s))
 	}
 	if train {
 		c.x = x
 	}
 	return out, nil
+}
+
+// convCols computes one sample's output y[oc, p] = b[oc] + Σ_r w[oc, r] ·
+// cols[r, p] from its patch matrix with the blocked tensor.GemmAcc kernel,
+// four patch rows per pass over each output channel's row. Forward and
+// Infer share it.
+func (c *Conv2D) convCols(cols, out []float64) {
+	pr := c.patchRows()
+	spatial := c.geom.OutH() * c.geom.OutW()
+	for oc, bias := range c.b.Value.Data() {
+		dst := out[oc*spatial : (oc+1)*spatial]
+		for p := range dst {
+			dst[p] = bias
+		}
+	}
+	tensor.GemmAcc(out, c.w.Value.Data(), cols, c.outC, pr, spatial)
 }
 
 // Backward implements Layer.

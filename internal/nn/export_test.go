@@ -1,0 +1,63 @@
+package nn
+
+// LayerRun is one leaf layer of a warm Workspace, for the per-layer kernel
+// ledger: Run repeats the layer's inference on the input it last saw.
+type LayerRun struct {
+	Name  string
+	FLOPs float64 // floating-point operations per call
+	Run   func()
+}
+
+// InferLayers runs s.Infer(ws, x) once and returns the leaf layers in
+// execution order, descending into sequences and parallel towers.
+func InferLayers(s *Sequential, ws *Workspace, x []float64) ([]LayerRun, error) {
+	if _, err := s.Infer(ws, x); err != nil {
+		return nil, err
+	}
+	var runs []LayerRun
+	var walk func(l Layer, st *step, x []float64)
+	walk = func(l Layer, st *step, x []float64) {
+		switch l := l.(type) {
+		case *Sequential:
+			for i, sub := range l.layers {
+				walk(sub, &st.sub[i], x)
+				x = st.sub[i].out
+			}
+		case *Parallel:
+			for i, t := range l.towers {
+				walk(t, &st.sub[i], x)
+			}
+		default:
+			inf := st.layer
+			runs = append(runs, LayerRun{
+				Name:  l.Name(),
+				FLOPs: layerFLOPs(l, len(x), len(st.out)),
+				Run:   func() { inf.infer(st, x) },
+			})
+		}
+	}
+	walk(s, &ws.root, x)
+	return runs, nil
+}
+
+// layerFLOPs counts a layer's floating-point operations for one input row
+// of width in producing out values: a multiply and an add per
+// multiply-accumulate, one operation per compared or summed window element,
+// one per element for activations and batch norm's multiply-add pair two.
+func layerFLOPs(l Layer, in, out int) float64 {
+	switch l := l.(type) {
+	case *Conv2D:
+		return 2 * float64(l.patchRows()) * float64(out)
+	case *Dense:
+		return 2 * float64(l.in) * float64(l.out)
+	case *BatchNorm:
+		return 2 * float64(out)
+	case *MaxPool2D:
+		return float64(l.geom.KH*l.geom.KW) * float64(out)
+	case *AvgPool2D:
+		return float64(l.geom.KH*l.geom.KW) * float64(out)
+	case *GlobalAvgPool:
+		return float64(in)
+	}
+	return float64(out)
+}

@@ -16,23 +16,7 @@ func Softmax(logits *tensor.Tensor) (*tensor.Tensor, error) {
 	n := logits.Dim(0)
 	out := tensor.New(logits.Shape()...)
 	for s := 0; s < n; s++ {
-		row := logits.Row(s)
-		orow := out.Row(s)
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		sum := 0.0
-		for j, v := range row {
-			e := math.Exp(v - m)
-			orow[j] = e
-			sum += e
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
+		SoftmaxInto(out.Row(s), logits.Row(s))
 	}
 	return out, nil
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"darnet/internal/tensor"
 )
@@ -12,6 +13,8 @@ import (
 type Sequential struct {
 	name   string
 	layers []Layer
+
+	workspaces sync.Pool // *Workspace, for the pooled inference entry points
 }
 
 var _ Layer = (*Sequential)(nil)
@@ -84,9 +87,31 @@ func (s *Sequential) ZeroGrad() {
 	}
 }
 
-// Predict runs an inference-mode forward pass.
+// Predict returns the network's outputs for a batch: one Infer per row on a
+// workspace from the network's pool, so concurrent callers share only the
+// weights.
 func (s *Sequential) Predict(x *tensor.Tensor) (*tensor.Tensor, error) {
-	return s.Forward(x, false)
+	if x.Dims() != 2 {
+		return nil, fmt.Errorf("nn: %s: inference needs a 2-D batch, got %d-D", s.name, x.Dims())
+	}
+	w, err := s.OutFeatures(x.Dim(1))
+	if err != nil {
+		return nil, err
+	}
+	ws, err := s.getWorkspace(x.Dim(1))
+	if err != nil {
+		return nil, err
+	}
+	defer s.workspaces.Put(ws)
+	out := tensor.New(x.Dim(0), w)
+	for i := 0; i < x.Dim(0); i++ {
+		y, err := s.Infer(ws, x.Row(i))
+		if err != nil {
+			return nil, err
+		}
+		copy(out.Row(i), y)
+	}
+	return out, nil
 }
 
 // Stateful is implemented by layers carrying non-trainable state (such as

@@ -323,7 +323,7 @@ func TestTrainClassifierLearnsBlobs(t *testing.T) {
 	if res[len(res)-1].Loss > res[0].Loss {
 		t.Fatalf("loss did not decrease: %g -> %g", res[0].Loss, res[len(res)-1].Loss)
 	}
-	pred, err := PredictClasses(net, x, 0)
+	pred, err := PredictClasses(net, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestTrainClassifierLearnsBlobs(t *testing.T) {
 		t.Fatalf("blob accuracy = %g, want >= 0.98", acc)
 	}
 
-	probs, err := PredictProbs(net, x, 50)
+	probs, err := PredictProbs(net, x)
 	if err != nil {
 		t.Fatal(err)
 	}

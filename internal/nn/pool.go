@@ -64,45 +64,56 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 	}
 
 	for s := 0; s < n; s++ {
-		xrow := x.Row(s)
-		orow := out.Row(s)
-		for c := 0; c < g.InC; c++ {
-			chanOff := c * g.InH * g.InW
-			for oh := 0; oh < outH; oh++ {
-				for ow := 0; ow < outW; ow++ {
-					best := math.Inf(-1)
-					bestIdx := -1
-					for kh := 0; kh < g.KH; kh++ {
-						ih := oh*g.StrideH + kh - g.PadH
-						if ih < 0 || ih >= g.InH {
+		var argmax []int
+		if train {
+			argmax = m.argmax[s*g.InC*spatial : (s+1)*g.InC*spatial]
+		}
+		m.pool(x.Row(s), out.Row(s), argmax)
+	}
+	return out, nil
+}
+
+// pool max-pools one sample; Forward and Infer share it. When argmax is not
+// nil it receives the flat input index each output took, or -1 for a window
+// that is all padding (which emits 0).
+func (m *MaxPool2D) pool(xrow, orow []float64, argmax []int) {
+	g := m.geom
+	outH, outW := g.OutH(), g.OutW()
+	spatial := outH * outW
+	for c := 0; c < g.InC; c++ {
+		chanOff := c * g.InH * g.InW
+		for oh := 0; oh < outH; oh++ {
+			for ow := 0; ow < outW; ow++ {
+				best := math.Inf(-1)
+				bestIdx := -1
+				for kh := 0; kh < g.KH; kh++ {
+					ih := oh*g.StrideH + kh - g.PadH
+					if ih < 0 || ih >= g.InH {
+						continue
+					}
+					for kw := 0; kw < g.KW; kw++ {
+						iw := ow*g.StrideW + kw - g.PadW
+						if iw < 0 || iw >= g.InW {
 							continue
 						}
-						for kw := 0; kw < g.KW; kw++ {
-							iw := ow*g.StrideW + kw - g.PadW
-							if iw < 0 || iw >= g.InW {
-								continue
-							}
-							idx := chanOff + ih*g.InW + iw
-							if v := xrow[idx]; v > best {
-								best, bestIdx = v, idx
-							}
+						idx := chanOff + ih*g.InW + iw
+						if v := xrow[idx]; v > best {
+							best, bestIdx = v, idx
 						}
 					}
-					oi := c*spatial + oh*outW + ow
-					if bestIdx < 0 {
-						// Entire window was padding; emit 0.
-						orow[oi] = 0
-					} else {
-						orow[oi] = best
-					}
-					if train {
-						m.argmax[s*g.InC*spatial+oi] = bestIdx
-					}
+				}
+				oi := c*spatial + oh*outW + ow
+				if bestIdx < 0 {
+					orow[oi] = 0
+				} else {
+					orow[oi] = best
+				}
+				if argmax != nil {
+					argmax[oi] = bestIdx
 				}
 			}
 		}
 	}
-	return out, nil
 }
 
 // Backward implements Layer.
@@ -159,20 +170,23 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, e
 		return nil, errBadWidth(g.name, g.c*g.h*g.w, x.Dim(x.Dims()-1))
 	}
 	n := x.Dim(0)
-	plane := g.h * g.w
 	out := tensor.New(n, g.c)
 	for s := 0; s < n; s++ {
-		xrow := x.Row(s)
-		orow := out.Row(s)
-		for c := 0; c < g.c; c++ {
-			sum := 0.0
-			for _, v := range xrow[c*plane : (c+1)*plane] {
-				sum += v
-			}
-			orow[c] = sum / float64(plane)
-		}
+		g.pool(x.Row(s), out.Row(s))
 	}
 	return out, nil
+}
+
+// pool averages one sample's channel planes; Forward and Infer share it.
+func (g *GlobalAvgPool) pool(xrow, orow []float64) {
+	plane := g.h * g.w
+	for c := 0; c < g.c; c++ {
+		sum := 0.0
+		for _, v := range xrow[c*plane : (c+1)*plane] {
+			sum += v
+		}
+		orow[c] = sum / float64(plane)
+	}
 }
 
 // Backward implements Layer.

@@ -107,63 +107,28 @@ func TrainClassifier(net *Sequential, opt Optimizer, rng *rand.Rand, x *tensor.T
 	return results, nil
 }
 
-// PredictClasses returns the arg-max class per row of x under net, evaluating
-// in batches to bound memory.
-func PredictClasses(net *Sequential, x *tensor.Tensor, batchSize int) ([]int, error) {
-	if batchSize <= 0 {
-		batchSize = 64
+// PredictClasses returns the arg-max class per row of x under net, through
+// Predict: one Infer per row on a pooled workspace.
+func PredictClasses(net *Sequential, x *tensor.Tensor) ([]int, error) {
+	logits, err := net.Predict(x)
+	if err != nil {
+		return nil, fmt.Errorf("nn: predict: %w", err)
 	}
-	n := x.Dim(0)
-	width := x.Dim(1)
-	out := make([]int, 0, n)
-	for start := 0; start < n; start += batchSize {
-		end := min(start+batchSize, n)
-		bs := end - start
-		bx := tensor.New(bs, width)
-		for i := 0; i < bs; i++ {
-			copy(bx.Row(i), x.Row(start+i))
-		}
-		logits, err := net.Predict(bx)
-		if err != nil {
-			return nil, fmt.Errorf("nn: predict: %w", err)
-		}
-		out = append(out, logits.ArgMaxRow()...)
-	}
-	return out, nil
+	return logits.ArgMaxRow(), nil
 }
 
 // PredictProbs returns row-wise softmax probabilities for x under net,
-// evaluating in batches to bound memory.
-func PredictProbs(net *Sequential, x *tensor.Tensor, batchSize int) (*tensor.Tensor, error) {
-	if batchSize <= 0 {
-		batchSize = 64
+// through Predict: one Infer per row on a pooled workspace, so concurrent
+// callers share only the weights.
+func PredictProbs(net *Sequential, x *tensor.Tensor) (*tensor.Tensor, error) {
+	probs, err := net.Predict(x)
+	if err != nil {
+		return nil, fmt.Errorf("nn: predict: %w", err)
 	}
-	n := x.Dim(0)
-	width := x.Dim(1)
-	var out *tensor.Tensor
-	for start := 0; start < n; start += batchSize {
-		end := min(start+batchSize, n)
-		bs := end - start
-		bx := tensor.New(bs, width)
-		for i := 0; i < bs; i++ {
-			copy(bx.Row(i), x.Row(start+i))
-		}
-		logits, err := net.Predict(bx)
-		if err != nil {
-			return nil, fmt.Errorf("nn: predict: %w", err)
-		}
-		probs, err := Softmax(logits)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = tensor.New(n, probs.Dim(1))
-		}
-		for i := 0; i < bs; i++ {
-			copy(out.Row(start+i), probs.Row(i))
-		}
+	for i := 0; i < probs.Dim(0); i++ {
+		SoftmaxInto(probs.Row(i), probs.Row(i))
 	}
-	return out, nil
+	return probs, nil
 }
 
 // Accuracy returns the fraction of predictions equal to labels.

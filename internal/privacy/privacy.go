@@ -130,15 +130,7 @@ func (r *Router) Classify(f *TaggedFrame) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("privacy: no classifier registered for distortion level %v", f.Level)
 	}
-	x, err := tensor.FromSlice(f.Image.ToFeatures(), 1, f.Image.W*f.Image.H)
-	if err != nil {
-		return nil, err
-	}
-	probs, err := nn.PredictProbs(model, x, 1)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), probs.Row(0)...), nil
+	return model.Probs(f.Image.ToFeatures())
 }
 
 // Levels returns the registered distortion levels.
@@ -202,7 +194,7 @@ func Distill(teacher *nn.Sequential, build StudentBuilder, frames *tensor.Tensor
 
 	// Step 1: record the teacher's final-layer outputs (logits) on the
 	// original frames.
-	targets, err := predictLogits(teacher, frames, 64)
+	targets, err := teacher.Predict(frames)
 	if err != nil {
 		return nil, fmt.Errorf("privacy: teacher outputs: %w", err)
 	}
@@ -296,31 +288,4 @@ func Distill(teacher *nn.Sequential, build StudentBuilder, frames *tensor.Tensor
 		}
 	}
 	return student, nil
-}
-
-// predictLogits runs inference-mode forward passes and collects raw
-// final-layer outputs.
-func predictLogits(net *nn.Sequential, x *tensor.Tensor, batchSize int) (*tensor.Tensor, error) {
-	n := x.Dim(0)
-	width := x.Dim(1)
-	var out *tensor.Tensor
-	for start := 0; start < n; start += batchSize {
-		end := min(start+batchSize, n)
-		bs := end - start
-		bx := tensor.New(bs, width)
-		for i := 0; i < bs; i++ {
-			copy(bx.Row(i), x.Row(start+i))
-		}
-		logits, err := net.Predict(bx)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil {
-			out = tensor.New(n, logits.Dim(1))
-		}
-		for i := 0; i < bs; i++ {
-			copy(out.Row(start+i), logits.Row(i))
-		}
-	}
-	return out, nil
 }

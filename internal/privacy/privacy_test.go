@@ -199,7 +199,7 @@ func buildTestCNN(rng *rand.Rand, w, h, classes int) *nn.Sequential {
 // accuracyOn evaluates Top-1 accuracy of net on (frames, labels).
 func accuracyOn(t *testing.T, net *nn.Sequential, frames *tensor.Tensor, labels []int) float64 {
 	t.Helper()
-	pred, err := nn.PredictClasses(net, frames, 64)
+	pred, err := nn.PredictClasses(net, frames)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -123,41 +123,23 @@ func (c *LSTMCell) Forward(x *tensor.Tensor) (*tensor.Tensor, *cellCache, error)
 }
 
 // preact computes the packed gate pre-activations z = b + x·Wx + h·Wh for one
-// step. Both the batch Forward pass and the streaming stepInfer go through
-// this single implementation so that an incrementally advanced stream is
-// bit-for-bit identical to a full-window recompute: floating-point addition is
-// not associative, so sharing the accumulation order is what makes the
-// equality exact rather than approximate.
+// step with the blocked tensor.VecMatAcc kernel. The batch Forward pass, the
+// streaming stepInfer and Infer (which runs the x·Wx half for every step
+// before the recurrence) all add the same terms in this order, so an
+// incrementally advanced stream is bit-for-bit identical to a full-window
+// recompute: floating-point addition is not associative, so sharing the
+// accumulation order is what makes the equality exact rather than
+// approximate.
 func (c *LSTMCell) preact(xt, h, z []float64) {
-	H := c.hidden
 	copy(z, c.b.Value.Data())
-	wxd := c.wx.Value.Data()
-	for k, xv := range xt {
-		if xv == 0 {
-			continue
-		}
-		wrow := wxd[k*4*H : (k+1)*4*H]
-		for j, wv := range wrow {
-			z[j] += xv * wv
-		}
-	}
-	whd := c.wh.Value.Data()
-	for k, hv := range h {
-		if hv == 0 {
-			continue
-		}
-		wrow := whd[k*4*H : (k+1)*4*H]
-		for j, wv := range wrow {
-			z[j] += hv * wv
-		}
-	}
+	tensor.VecMatAcc(z, xt, c.wx.Value.Data())
+	tensor.VecMatAcc(z, h, c.wh.Value.Data())
 }
 
-// stepInfer advances one inference step in place: h and cs (each length
-// hidden) are the carried state, z is a 4*hidden scratch. The gate expressions
-// mirror Forward's exactly — see preact for why that matters.
-func (c *LSTMCell) stepInfer(xt, h, cs, z []float64) {
-	c.preact(xt, h, z)
+// gates applies the gate nonlinearities to the pre-activations z and
+// advances the carried state h and cs (each length hidden) in place. The
+// expressions mirror Forward's exactly — see preact for why that matters.
+func (c *LSTMCell) gates(z, h, cs []float64) {
 	H := c.hidden
 	for j := 0; j < H; j++ {
 		it := sigmoid(z[j])
@@ -168,6 +150,13 @@ func (c *LSTMCell) stepInfer(xt, h, cs, z []float64) {
 		cs[j] = ct
 		h[j] = ot * math.Tanh(ct)
 	}
+}
+
+// stepInfer advances one inference step in place: h and cs (each length
+// hidden) are the carried state, z is a 4*hidden scratch.
+func (c *LSTMCell) stepInfer(xt, h, cs, z []float64) {
+	c.preact(xt, h, z)
+	c.gates(z, h, cs)
 }
 
 // Backward backpropagates dL/dH (shape (T, hidden)) through the cached

@@ -3,6 +3,7 @@ package rnn
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"darnet/internal/metrics"
 	"darnet/internal/nn"
@@ -10,13 +11,18 @@ import (
 )
 
 // seqLayer is one recurrent stage mapping a (T, in) sequence to a (T, out)
-// sequence. Implementations return an opaque cache consumed by backward.
+// sequence. forwardSeq is the training pass and returns an opaque cache
+// consumed by backwardSeq; inferSeq is the inference pass, which writes the
+// (T, out) rows into out and keeps its scratch in ws.
 type seqLayer interface {
 	Name() string
 	Params() []*nn.Param
 	OutWidth() int
+	in() int
+	hidden() int
 	forwardSeq(x *tensor.Tensor) (*tensor.Tensor, any, error)
 	backwardSeq(cache any, grad *tensor.Tensor) (*tensor.Tensor, error)
+	inferSeq(ws *Workspace, x []float64, T int, out []float64)
 }
 
 // BiLSTM as a seqLayer.
@@ -32,6 +38,9 @@ func (b *BiLSTM) backwardSeq(cache any, grad *tensor.Tensor) (*tensor.Tensor, er
 	}
 	return b.Backward(bc, grad)
 }
+
+func (b *BiLSTM) in() int     { return b.fwd.in }
+func (b *BiLSTM) hidden() int { return b.fwd.hidden }
 
 var _ seqLayer = (*BiLSTM)(nil)
 
@@ -69,6 +78,9 @@ func (u *UniLSTM) backwardSeq(cache any, grad *tensor.Tensor) (*tensor.Tensor, e
 	return u.cell.Backward(cc, grad)
 }
 
+func (u *UniLSTM) in() int     { return u.cell.in }
+func (u *UniLSTM) hidden() int { return u.cell.hidden }
+
 var _ seqLayer = (*UniLSTM)(nil)
 
 // Classifier is the paper's IMU-sequence architecture: a stack of
@@ -79,6 +91,8 @@ type Classifier struct {
 	layers  []seqLayer
 	head    *nn.Dense
 	classes int
+
+	workspaces sync.Pool // *Workspace, for the pooled inference entry points
 }
 
 // Config describes a deep (Bi)LSTM classifier.
@@ -150,8 +164,10 @@ type seqCache struct {
 	steps       int
 }
 
-// forward computes logits (1, classes) for one (T, input) sequence.
-func (c *Classifier) forward(seq *tensor.Tensor, train bool) (*tensor.Tensor, *seqCache, error) {
+// forward is the training pass: it computes logits (1, classes) for one
+// (T, input) sequence and the cache backward needs. Inference goes through
+// Infer instead.
+func (c *Classifier) forward(seq *tensor.Tensor) (*tensor.Tensor, *seqCache, error) {
 	x := seq
 	cache := &seqCache{steps: seq.Dim(0)}
 	for _, l := range c.layers {
@@ -177,7 +193,7 @@ func (c *Classifier) forward(seq *tensor.Tensor, train bool) (*tensor.Tensor, *s
 	for j := range prow {
 		prow[j] *= inv
 	}
-	logits, err := c.head.Forward(pooled, train)
+	logits, err := c.head.Forward(pooled, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -212,24 +228,48 @@ func (c *Classifier) backward(cache *seqCache, grad *tensor.Tensor) error {
 	return nil
 }
 
-// Logits returns inference-mode logits for one sequence.
+// pooled runs fn on a workspace from the classifier's pool that fits seq,
+// so concurrent callers share the weights and nothing else.
+func (c *Classifier) pooled(seq *tensor.Tensor, fn func(ws *Workspace) error) error {
+	steps := 1 // a malformed seq gets a workspace and is refused by inferLogits
+	if seq.Dims() == 2 {
+		steps = max(steps, seq.Dim(0))
+	}
+	ws, err := c.getWorkspace(steps)
+	if err != nil {
+		return err
+	}
+	defer c.workspaces.Put(ws)
+	return fn(ws)
+}
+
+// Logits returns inference-mode logits (1, classes) for one sequence.
 func (c *Classifier) Logits(seq *tensor.Tensor) (*tensor.Tensor, error) {
-	logits, _, err := c.forward(seq, false)
-	return logits, err
+	out := tensor.New(1, c.classes)
+	err := c.pooled(seq, func(ws *Workspace) error {
+		logits, err := c.inferLogits(ws, seq)
+		copy(out.Data(), logits)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // PredictProbs returns softmax class probabilities for one sequence as a
 // length-classes slice.
 func (c *Classifier) PredictProbs(seq *tensor.Tensor) ([]float64, error) {
-	logits, err := c.Logits(seq)
+	probs := make([]float64, c.classes)
+	err := c.pooled(seq, func(ws *Workspace) error {
+		p, err := c.Infer(ws, seq)
+		copy(probs, p)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	probs, err := nn.Softmax(logits)
-	if err != nil {
-		return nil, err
-	}
-	return append([]float64(nil), probs.Row(0)...), nil
+	return probs, nil
 }
 
 // Predict returns the arg-max class for one sequence.
@@ -279,7 +319,7 @@ func (c *Classifier) Train(opt nn.Optimizer, rng *rand.Rand, seqs []*tensor.Tens
 			c.ZeroGrad()
 			batchLoss := 0.0
 			for _, idx := range order[start:end] {
-				logits, cache, err := c.forward(seqs[idx], true)
+				logits, cache, err := c.forward(seqs[idx])
 				if err != nil {
 					return losses, fmt.Errorf("rnn: train forward: %w", err)
 				}

@@ -19,22 +19,26 @@ import (
 // the streamed result is bit-for-bit identical to the batch recompute. The
 // fast path requires a unidirectional stack: a bidirectional layer needs the
 // whole window before its backward-time direction can run, so bidirectional
-// classifiers fall back to buffering the window and running the batch
-// forward, behind the same API.
+// classifiers fall back to buffering the window and running Infer on the
+// stream's own workspace, behind the same API.
 type Stream struct {
 	c      *Classifier
 	window int
 	n      int // samples pushed into the current window
 
 	// Incremental path (all-unidirectional stacks): per-layer carried state.
-	cells []*LSTMCell
-	h     [][]float64
-	cs    [][]float64
-	z     []float64      // packed-gate scratch sized for the widest layer
-	top   *tensor.Tensor // (window, top width) top-layer outputs, chronological
+	cells  []*LSTMCell
+	h      [][]float64
+	cs     [][]float64
+	z      []float64      // packed-gate scratch sized for the widest layer
+	top    *tensor.Tensor // (window, top width) top-layer outputs, chronological
+	pooled []float64      // head input and output scratch
+	logits []float64
 
-	// Buffered fallback (bidirectional stacks).
+	// Buffered fallback (bidirectional stacks): the window and the
+	// stream's own inference workspace.
 	buf *tensor.Tensor // (window, in)
+	ws  *Workspace
 	in  int
 }
 
@@ -65,7 +69,11 @@ func (c *Classifier) NewStream(window int) (*Stream, error) {
 		cells = append(cells, u.cell)
 	}
 	if cells == nil {
-		s.buf = tensor.New(window, s.in)
+		ws, err := c.NewWorkspace(window)
+		if err != nil {
+			return nil, err
+		}
+		s.buf, s.ws = tensor.New(window, s.in), ws
 		return s, nil
 	}
 	s.cells = cells
@@ -81,6 +89,8 @@ func (c *Classifier) NewStream(window int) (*Stream, error) {
 	}
 	s.z = make([]float64, 4*maxH)
 	s.top = tensor.New(window, cells[len(cells)-1].hidden)
+	s.pooled = make([]float64, cells[len(cells)-1].hidden)
+	s.logits = make([]float64, c.classes)
 	return s, nil
 }
 
@@ -125,39 +135,21 @@ func (s *Stream) Classify() ([]float64, error) {
 	if s.n != s.window {
 		return nil, fmt.Errorf("rnn: stream window has %d of %d samples", s.n, s.window)
 	}
+	out := make([]float64, s.c.classes)
 	if s.cells == nil {
-		probs, err := s.c.PredictProbs(s.buf)
+		probs, err := s.c.Infer(s.ws, s.buf)
 		if err != nil {
 			return nil, err
 		}
+		copy(out, probs)
 		s.Reset()
-		return probs, nil
+		return out, nil
 	}
-	// Pool exactly as Classifier.forward does: accumulate rows in time order,
-	// then scale once — a rolling mean would change the addition order and
-	// break bit-for-bit equality with the batch path.
-	W := s.top.Dim(1)
-	pooled := tensor.New(1, W)
-	prow := pooled.Row(0)
-	for t := 0; t < s.window; t++ {
-		row := s.top.Row(t)
-		for j, v := range row {
-			prow[j] += v
-		}
-	}
-	inv := 1.0 / float64(s.window)
-	for j := range prow {
-		prow[j] *= inv
-	}
-	logits, err := s.c.head.Forward(pooled, false)
-	if err != nil {
-		return nil, err
-	}
-	probs, err := nn.Softmax(logits)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]float64(nil), probs.Row(0)...)
+	// Pool and run the head exactly as Infer does — a rolling mean would
+	// change the addition order and break bit-for-bit equality with the
+	// batch path.
+	s.c.poolHead(s.top.Data(), s.window, s.pooled, s.logits)
+	nn.SoftmaxInto(out, s.logits)
 	s.Reset()
 	return out, nil
 }

@@ -18,8 +18,10 @@ type EngineTicker struct {
 
 // EngineTickerFactory returns a TickerFactory over a shared trained engine.
 // Each call builds a fresh recurrent stream, so watchdog restarts reset the
-// in-flight window while the (immutable, read-only) model weights are shared
-// across agents.
+// in-flight window. The model weights are shared across agents and only read:
+// inference keeps its scratch in per-call workspaces from each model's pool
+// (and in each stream's own state), so any number of pipelines may run on
+// one engine, as long as nothing trains it meanwhile.
 func EngineTickerFactory(eng *core.Engine) TickerFactory {
 	return func() (Ticker, error) {
 		st, err := eng.NewIMUStream()

@@ -39,6 +39,11 @@ func (g ConvGeom) Validate() error {
 // Im2Col expands one image (C×H×W, flattened in img) into a patch matrix of
 // shape (C*KH*KW) × (OutH*OutW) written into cols. Each column holds one
 // receptive field. cols must have length (C*KH*KW)*(OutH*OutW).
+//
+// Each (channel, kernel tap, output row) segment is one run of the output
+// width: the part that falls on the image is copied (a plain copy at unit
+// stride), and the padding on either side is zeroed, instead of testing
+// every element against the image bounds.
 func (g ConvGeom) Im2Col(img, cols []float64) {
 	outH, outW := g.OutH(), g.OutW()
 	colW := outH * outW
@@ -47,23 +52,34 @@ func (g ConvGeom) Im2Col(img, cols []float64) {
 		for kh := 0; kh < g.KH; kh++ {
 			for kw := 0; kw < g.KW; kw++ {
 				rowOff := ((c*g.KH+kh)*g.KW + kw) * colW
+				// Output columns lo..hi-1 read image columns
+				// ow*StrideW + kw - PadW inside [0, InW).
+				lo, hi := 0, outW
+				if kw < g.PadW {
+					lo = min(outW, (g.PadW-kw+g.StrideW-1)/g.StrideW)
+				}
+				if last := g.InW - 1 + g.PadW - kw; last < 0 {
+					hi = 0
+				} else {
+					hi = min(outW, last/g.StrideW+1)
+				}
+				hi = max(lo, hi)
 				for oh := 0; oh < outH; oh++ {
+					dst := cols[rowOff+oh*outW : rowOff+(oh+1)*outW]
 					ih := oh*g.StrideH + kh - g.PadH
-					base := rowOff + oh*outW
 					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < outW; ow++ {
-							cols[base+ow] = 0
-						}
+						clear(dst)
 						continue
 					}
-					imRow := chanOff + ih*g.InW
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.StrideW + kw - g.PadW
-						if iw < 0 || iw >= g.InW {
-							cols[base+ow] = 0
-						} else {
-							cols[base+ow] = img[imRow+iw]
-						}
+					clear(dst[:lo])
+					clear(dst[hi:])
+					src := img[chanOff+ih*g.InW : chanOff+(ih+1)*g.InW]
+					if g.StrideW == 1 {
+						copy(dst[lo:hi], src[lo+kw-g.PadW:])
+						continue
+					}
+					for ow := lo; ow < hi; ow++ {
+						dst[ow] = src[ow*g.StrideW+kw-g.PadW]
 					}
 				}
 			}

@@ -39,23 +39,57 @@ func MatMulInto(dst, a, b *Tensor) error {
 	return nil
 }
 
-// matmulInto computes out[m×n] = a[m×k] × b[k×n] with an ikj loop order that
-// streams b row-wise for cache friendliness.
+// matmulInto computes out[m×n] = a[m×k] × b[k×n] with GemmAcc.
 func matmulInto(out, a, b []float64, m, k, n int) {
 	for i := range out {
 		out[i] = 0
 	}
+	GemmAcc(out, a, b, m, k, n)
+}
+
+// GemmAcc accumulates the matrix product dst += a×b for row-major a (m×k),
+// b (k×n) and dst (m×n), one VecMatAcc per row of dst.
+func GemmAcc(dst, a, b []float64, m, k, n int) {
 	for i := 0; i < m; i++ {
-		arow := a[i*k : (i+1)*k]
-		orow := out[i*n : (i+1)*n]
-		for p, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b[p*n : (p+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
+		VecMatAcc(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b)
+	}
+}
+
+// VecMatAcc accumulates a vector-matrix product into dst: for a row-major
+// matrix m of len(a) rows by len(dst) columns,
+//
+//	dst[j] += a[0]·m[0][j] + a[1]·m[1][j] + … + a[r]·m[r][j].
+//
+// It is the multiply-accumulate kernel behind MatMul, the convolution's
+// im2col × weights product, the dense layers and the LSTM gate projections.
+// The loop is register-blocked: each pass over dst (axpy4) takes four rows
+// of m, so dst is loaded and stored once per four products instead of once
+// per product. Each dst[j] still adds its products in row order with one
+// rounding per addition, exactly as a one-row-at-a-time loop does, so the
+// blocking changes the speed and not the result. A block whose four
+// coefficients are all zero is skipped, like a zero coefficient in the
+// one-row loop; a zero coefficient inside a live block adds a ±0 product,
+// which leaves any sum that starts at +0 or a nonzero value unchanged. m
+// must hold at least len(a)·len(dst) values; a shorter m panics on the slice
+// bounds.
+func VecMatAcc(dst, a, m []float64) {
+	n := len(dst)
+	r := 0
+	for ; r+4 <= len(a); r += 4 {
+		a0, a1, a2, a3 := a[r], a[r+1], a[r+2], a[r+3]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		axpy4(dst, m[r*n:r*n+n], m[(r+1)*n:(r+1)*n+n], m[(r+2)*n:(r+2)*n+n], m[(r+3)*n:(r+3)*n+n], a0, a1, a2, a3)
+	}
+	for ; r < len(a); r++ {
+		av := a[r]
+		if av == 0 {
+			continue
+		}
+		row := m[r*n : r*n+n]
+		for j, v := range row {
+			dst[j] += av * v
 		}
 	}
 }
