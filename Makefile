@@ -116,9 +116,10 @@ stream-smoke:
 	$(GO) run ./cmd/darnet-eval -check-bench $(STREAM_OUT)
 
 # obs-smoke measures the observability tax: the saturating stream workload
-# with tracing+scraping off (baseline) vs. on (instrumented), validated to
-# stay within the 5% overhead budget. The committed BENCH_PR8.json is
-# produced at a larger scale with the same flags.
+# with tracing+scraping off (baseline) vs. on (instrumented) in nine paired
+# runs, validated to keep the median paired throughput loss within the 5%
+# overhead budget. The committed BENCH_PR8.json is produced at a larger
+# scale with the same flags.
 obs-smoke:
 	$(GO) run ./cmd/darnet-eval -exp obs -scale 0.01 -cnn-epochs 2 -rnn-epochs 2 -q -bench-out $(OBS_OUT)
 	$(GO) run ./cmd/darnet-eval -check-bench $(OBS_OUT)

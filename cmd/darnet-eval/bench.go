@@ -2,11 +2,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 
-	"darnet/internal/metrics"
 	"darnet/internal/telemetry"
 )
 
@@ -16,7 +14,7 @@ import (
 const benchSamples = 64
 
 // benchStageNames are the per-stage latency histograms the benchmark
-// reports, in pipeline order.
+// reports.
 var benchStageNames = []string{
 	"darnet_core_classify_seconds",
 	"darnet_core_cnn_forward_seconds",
@@ -24,32 +22,10 @@ var benchStageNames = []string{
 	"darnet_core_bn_combine_seconds",
 }
 
-// benchStage is one histogram in the machine-readable benchmark.
-type benchStage struct {
-	Name   string  `json:"name"`
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	P50MS  float64 `json:"p50_ms"`
-	P90MS  float64 `json:"p90_ms"`
-	P99MS  float64 `json:"p99_ms"`
-}
-
-// benchReport is the BENCH_PR3.json schema: experiment provenance, the
-// measured Top-1 accuracy of the three architectures, and per-stage
-// inference latency from the telemetry histograms.
-type benchReport struct {
-	PR         int                `json:"pr"`
-	Experiment string             `json:"experiment"`
-	Scale      float64            `json:"scale"`
-	Seed       int64              `json:"seed"`
-	Samples    int                `json:"samples"`
-	Accuracy   map[string]float64 `json:"accuracy"`
-	Stages     []benchStage       `json:"stages"`
-}
-
 // bench trains and evaluates the engine like -exp table2, then runs the
-// latency probe over the serving path and writes the machine-readable
-// benchmark to outPath.
+// latency probe over the serving path and writes the report to outPath:
+// Top-1 accuracy of the three architectures and per-stage inference latency
+// from the telemetry histograms.
 func bench(dataPath string, scale float64, seed int64, cnnEpochs, rnnEpochs int, quiet bool, outPath string) error {
 	eng, test, ev, err := trainAndEvaluate(dataPath, scale, seed, cnnEpochs, rnnEpochs, quiet)
 	if err != nil {
@@ -67,118 +43,20 @@ func bench(dataPath string, scale float64, seed int64, cnnEpochs, rnnEpochs int,
 		}
 	}
 
-	report := benchReport{
-		PR:         3,
-		Experiment: "bench",
-		Scale:      scale,
-		Seed:       seed,
-		Samples:    n,
-		Accuracy: map[string]float64{
-			"cnn_rnn": ev.CNNRNN,
-			"cnn_svm": ev.CNNSVM,
-			"cnn":     ev.CNN,
-		},
-	}
-	snap := telemetry.Default.Snapshot()
-	for _, name := range benchStageNames {
-		for _, h := range snap.Histograms {
-			if h.Name != name {
-				continue
-			}
-			report.Stages = append(report.Stages, benchStage{
-				Name:   h.Name,
-				Count:  h.Count,
-				MeanMS: h.Mean * 1000,
-				P50MS:  h.P50 * 1000,
-				P90MS:  h.P90 * 1000,
-				P99MS:  h.P99 * 1000,
-			})
+	m := metricSet{}
+	m.set("scale", scale, "share")
+	m.set("samples", float64(n), "count")
+	m.set("accuracy.cnn_rnn", ev.CNNRNN, "share")
+	m.set("accuracy.cnn_svm", ev.CNNSVM, "share")
+	m.set("accuracy.cnn", ev.CNN, "share")
+	for _, h := range telemetry.Default.Snapshot().Histograms {
+		if slices.Contains(benchStageNames, h.Name) {
+			m.set(h.Name+".count", float64(h.Count), "count")
+			m.set(h.Name+".mean_ms", h.Mean*1000, "ms")
+			m.set(h.Name+".p50_ms", h.P50*1000, "ms")
+			m.set(h.Name+".p90_ms", h.P90*1000, "ms")
+			m.set(h.Name+".p99_ms", h.P99*1000, "ms")
 		}
 	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return fmt.Errorf("write benchmark: %w", err)
-	}
-	fmt.Printf("== bench: %d-sample serving-path latency probe ==\n", n)
-	fmt.Printf("accuracy: CNN+RNN %s, CNN+SVM %s, CNN %s\n",
-		metrics.FormatPercent(ev.CNNRNN), metrics.FormatPercent(ev.CNNSVM), metrics.FormatPercent(ev.CNN))
-	for _, st := range report.Stages {
-		fmt.Printf("%-36s count=%d mean=%.3fms p50=%.3fms p90=%.3fms p99=%.3fms\n",
-			st.Name, st.Count, st.MeanMS, st.P50MS, st.P90MS, st.P99MS)
-	}
-	fmt.Printf("wrote %s\n\n", outPath)
-	return nil
-}
-
-// checkBenchFile validates a benchmark JSON file: schema fields present,
-// accuracies in [0,1], and every reported stage non-empty with ordered
-// quantiles. It is the -check-bench mode make bench-smoke gates on. Chaos
-// benchmarks (experiment "chaos") carry a different schema and dispatch to
-// checkChaosBench.
-func checkBenchFile(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var probe struct {
-		Experiment string `json:"experiment"`
-	}
-	if err := json.Unmarshal(buf, &probe); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if probe.Experiment == "crash" {
-		return checkCrashBench(path, buf)
-	}
-	if probe.Experiment == "chaos" {
-		return checkChaosBench(path, buf)
-	}
-	if probe.Experiment == "stream" {
-		return checkStreamBench(path, buf)
-	}
-	if probe.Experiment == "obs" {
-		return checkObsBench(path, buf)
-	}
-	var report benchReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if report.PR <= 0 || report.Experiment == "" || report.Samples <= 0 {
-		return fmt.Errorf("%s: missing provenance (pr=%d experiment=%q samples=%d)",
-			path, report.PR, report.Experiment, report.Samples)
-	}
-	for _, key := range []string{"cnn_rnn", "cnn_svm", "cnn"} {
-		acc, ok := report.Accuracy[key]
-		if !ok {
-			return fmt.Errorf("%s: missing accuracy %q", path, key)
-		}
-		if acc < 0 || acc > 1 {
-			return fmt.Errorf("%s: accuracy %q = %v out of [0,1]", path, key, acc)
-		}
-	}
-	if len(report.Stages) == 0 {
-		return fmt.Errorf("%s: no latency stages", path)
-	}
-	for _, st := range report.Stages {
-		if !telemetry.ValidName(st.Name) {
-			return fmt.Errorf("%s: stage %q is not a valid metric name", path, st.Name)
-		}
-		if st.Count <= 0 {
-			return fmt.Errorf("%s: stage %s has no observations", path, st.Name)
-		}
-		if st.P50MS > st.P90MS || st.P90MS > st.P99MS {
-			return fmt.Errorf("%s: stage %s has unordered quantiles p50=%v p90=%v p99=%v",
-				path, st.Name, st.P50MS, st.P90MS, st.P99MS)
-		}
-		if st.MeanMS < 0 {
-			return fmt.Errorf("%s: stage %s has negative mean %v", path, st.Name, st.MeanMS)
-		}
-	}
-	fmt.Printf("%s ok: %d samples, %d stages, CNN+RNN %s\n",
-		path, report.Samples, len(report.Stages), metrics.FormatPercent(report.Accuracy["cnn_rnn"]))
-	return nil
+	return writeReport(outPath, "bench", seed, m)
 }

@@ -8,10 +8,8 @@ package main
 // robustness counterpart of the -exp bench latency probe.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -29,29 +27,11 @@ const (
 	chaosRunFor         = 3 * time.Second
 )
 
-// chaosReport is the BENCH_PR5.json schema: provenance, ingest throughput
-// under faults, recovery time for every injected partition, and the
-// resilience accounting (reconnects, deduped replays, spilled readings).
-type chaosReport struct {
-	PR         int     `json:"pr"`
-	Experiment string  `json:"experiment"`
-	Seed       int64   `json:"seed"`
-	DurationMS float64 `json:"duration_ms"`
-
-	ReadingsStored int     `json:"readings_stored"`
-	ThroughputRPS  float64 `json:"throughput_rps"`
-
-	Partitions    int       `json:"partitions"`
-	Reconnects    int       `json:"reconnects"`
-	Deduped       int       `json:"deduped"`
-	SpillDropped  int64     `json:"spill_dropped"`
-	RecoveryMS    []float64 `json:"recovery_ms"`
-	RecoveryMaxMS float64   `json:"recovery_max_ms"`
-}
-
-// chaosBench runs the fixed fault schedule and writes the machine-readable
-// resilience benchmark to outPath.
-func chaosBench(seed int64, quiet bool, outPath string) error {
+// chaosBench runs the fixed fault schedule and writes the report to outPath:
+// ingest throughput under faults, recovery time for every injected
+// partition, and the resilience accounting (reconnects, deduped replays,
+// spilled readings).
+func chaosBench(seed int64, outPath string) error {
 	db := tsdb.New()
 	ctrl := collect.NewController(db, func() int64 { return time.Now().UnixMilli() })
 	ctrl.SetIdleTimeout(2 * time.Second)
@@ -166,77 +146,22 @@ func chaosBench(seed int64, quiet bool, outPath string) error {
 		return fmt.Errorf("chaos run survived only %d partitions, want 2", got)
 	}
 
-	report := chaosReport{
-		PR:             5,
-		Experiment:     "chaos",
-		Seed:           seed,
-		DurationMS:     float64(elapsed.Milliseconds()),
-		ReadingsStored: stored,
-		ThroughputRPS:  float64(stored) / elapsed.Seconds(),
-		Partitions:     len(partitionAt),
-		Reconnects:     runner.Reconnects(),
-		Deduped:        st.Deduped,
-		SpillDropped:   agent.SpillDropped(),
-	}
+	m := metricSet{}
+	m.set("duration_ms", float64(elapsed.Milliseconds()), "ms")
+	m.set("readings_stored", float64(stored), "count")
+	m.set("throughput_rps", float64(stored)/elapsed.Seconds(), "1/s")
+	m.set("partitions", float64(len(partitionAt)), "count")
+	m.set("reconnects", float64(runner.Reconnects()), "count")
+	m.set("deduped", float64(st.Deduped), "count")
+	m.set("spill_dropped", float64(agent.SpillDropped()), "count")
+	maxMS := 0.0
 	for i, p := range partitionAt {
 		if i < len(recoveredAt) {
 			ms := float64(recoveredAt[i].Sub(p).Microseconds()) / 1000
-			report.RecoveryMS = append(report.RecoveryMS, ms)
-			if ms > report.RecoveryMaxMS {
-				report.RecoveryMaxMS = ms
-			}
+			m.set(fmt.Sprintf("partition%d.recovery_ms", i+1), ms, "ms")
+			maxMS = max(maxMS, ms)
 		}
 	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return fmt.Errorf("write chaos benchmark: %w", err)
-	}
-	if !quiet {
-		fmt.Printf("== chaos: %v fault-schedule run ==\n", chaosRunFor)
-		fmt.Printf("stored %d readings (%.0f/s), survived %d partitions with %d reconnects\n",
-			stored, report.ThroughputRPS, report.Partitions, report.Reconnects)
-		fmt.Printf("deduped %d replayed batches, spill-dropped %d readings\n", report.Deduped, report.SpillDropped)
-		for i, ms := range report.RecoveryMS {
-			fmt.Printf("partition %d recovered in %.1f ms\n", i+1, ms)
-		}
-	}
-	fmt.Printf("wrote %s\n\n", outPath)
-	return nil
-}
-
-// checkChaosBench validates a chaos benchmark file (the -check-bench branch
-// for experiment "chaos").
-func checkChaosBench(path string, buf []byte) error {
-	var report chaosReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if report.PR <= 0 || report.Experiment != "chaos" {
-		return fmt.Errorf("%s: missing provenance (pr=%d experiment=%q)", path, report.PR, report.Experiment)
-	}
-	if report.ReadingsStored <= 0 || report.ThroughputRPS <= 0 {
-		return fmt.Errorf("%s: no ingest recorded (stored=%d throughput=%v)", path, report.ReadingsStored, report.ThroughputRPS)
-	}
-	if report.Partitions < 2 {
-		return fmt.Errorf("%s: only %d partitions injected, schedule promises 2", path, report.Partitions)
-	}
-	if report.Reconnects < report.Partitions {
-		return fmt.Errorf("%s: %d reconnects for %d partitions — an outage was not survived", path, report.Reconnects, report.Partitions)
-	}
-	if len(report.RecoveryMS) == 0 {
-		return fmt.Errorf("%s: no recovery times recorded", path)
-	}
-	for i, ms := range report.RecoveryMS {
-		if ms <= 0 || ms > report.RecoveryMaxMS {
-			return fmt.Errorf("%s: recovery_ms[%d] = %v inconsistent with max %v", path, i, ms, report.RecoveryMaxMS)
-		}
-	}
-	fmt.Printf("%s ok: %.0f readings/s under faults, %d partitions survived, worst recovery %.1f ms\n",
-		path, report.ThroughputRPS, report.Partitions, report.RecoveryMaxMS)
-	return nil
+	m.set("recovery_max_ms", maxMS, "ms")
+	return writeReport(outPath, "chaos", seed, m)
 }

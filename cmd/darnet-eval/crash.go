@@ -9,7 +9,6 @@ package main
 // -exp chaos transport-fault probe.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"time"
@@ -23,68 +22,26 @@ import (
 // sees one commit mark (and, under fsync=always, one fsync) per batch.
 const crashCommitEvery = 1000
 
-// crashPolicyResult is one fsync policy's measured cost and loss bound.
-type crashPolicyResult struct {
-	Policy        string  `json:"policy"`
-	InsertNsPerOp float64 `json:"insert_ns_per_op"`
-	OverheadPct   float64 `json:"overhead_pct"`
-
-	// Power-cut accounting (in-memory crash FS, deterministic sync points):
-	// readings acked as committed before the cut, committed readings the
-	// recovered store was missing, the policy's documented worst-case loss,
-	// and whether the measurement respects it.
-	CommittedReadings int  `json:"committed_readings"`
-	LostReadings      int  `json:"lost_readings"`
-	LossBound         int  `json:"loss_bound"`
-	LossBoundOK       bool `json:"loss_bound_ok"`
-}
-
-// crashBenchReport is the BENCH_PR10.json schema.
-type crashBenchReport struct {
-	PR         int     `json:"pr"`
-	Experiment string  `json:"experiment"`
-	Seed       int64   `json:"seed"`
-	Readings   int     `json:"readings"`
-	DurationMS float64 `json:"duration_ms"`
-
-	// BaselineNsPerOp is tsdb.Insert with no WAL attached — the denominator
-	// of every policy's overhead_pct (the BENCH_PR3 insert path).
-	BaselineNsPerOp float64             `json:"baseline_ns_per_op"`
-	Policies        []crashPolicyResult `json:"policies"`
-
-	// Recovery of a real on-disk WAL holding every reading above, without the
-	// benefit of a shutdown checkpoint.
-	RecoveryMS       float64 `json:"recovery_ms"`
-	RecoveredInserts int     `json:"recovered_inserts"`
-	RecoveredPoints  int     `json:"recovered_points"`
-
-	// FaultMatrix records the crash-injection outcomes: every key must be
-	// true for the recovery contract to hold.
-	FaultMatrix map[string]bool `json:"fault_matrix"`
-}
-
-// crashBench runs the durability benchmark: readings scales with the shared
-// -scale flag so the committed artifact measures recovery at 10^6 readings
-// (scale 1) while smoke runs stay fast.
-func crashBench(scale float64, seed int64, quiet bool, outPath string) error {
+// crashBench runs the durability benchmark and writes the report to
+// outPath: readings scales with the shared -scale flag so the committed
+// report measures recovery at 10^6 readings (scale 1) while smoke runs stay
+// fast.
+func crashBench(scale float64, seed int64, outPath string) error {
 	start := time.Now()
 	readings := int(1_000_000 * scale)
 	if readings < 10_000 {
 		readings = 10_000
 	}
-	report := crashBenchReport{
-		PR:         10,
-		Experiment: "crash",
-		Seed:       seed,
-		Readings:   readings,
-		Policies:   make([]crashPolicyResult, 0, 3),
-	}
+	m := metricSet{}
+	m.set("readings", float64(readings), "count")
 
-	// Baseline: the bare insert path, no logger attached.
+	// Baseline: the bare insert path, no logger attached — the denominator
+	// of every policy's overhead_pct.
 	base := tsdb.New()
 	baseStart := time.Now()
 	crashInsert(base, nil, readings)
-	report.BaselineNsPerOp = float64(time.Since(baseStart).Nanoseconds()) / float64(readings)
+	baselineNs := float64(time.Since(baseStart).Nanoseconds()) / float64(readings)
+	m.set("baseline_ns_per_op", baselineNs, "ns")
 
 	dir, err := os.MkdirTemp("", "darnet-crash-*")
 	if err != nil {
@@ -93,44 +50,27 @@ func crashBench(scale float64, seed int64, quiet bool, outPath string) error {
 	defer os.RemoveAll(dir)
 
 	for _, policy := range []durable.Policy{durable.PolicyAlways, durable.PolicyInterval, durable.PolicyNever} {
-		res, err := crashMeasurePolicy(dir, policy, readings, report.BaselineNsPerOp)
-		if err != nil {
+		if err := crashMeasurePolicy(m, dir, policy, readings, baselineNs); err != nil {
 			return fmt.Errorf("crash: policy %v: %w", policy, err)
-		}
-		report.Policies = append(report.Policies, res)
-		if !quiet {
-			fmt.Printf("fsync=%-8s %7.0f ns/insert (%+.1f%%), power-cut lost %d/%d committed readings (bound %d)\n",
-				res.Policy, res.InsertNsPerOp, res.OverheadPct, res.LostReadings, res.CommittedReadings, res.LossBound)
 		}
 	}
 
+	// Recovery of a real on-disk WAL holding every reading above, without
+	// the benefit of a shutdown checkpoint.
 	recMS, recInserts, recPoints, err := crashMeasureRecovery(readings)
 	if err != nil {
 		return fmt.Errorf("crash: recovery: %w", err)
 	}
-	report.RecoveryMS, report.RecoveredInserts, report.RecoveredPoints = recMS, recInserts, recPoints
-	if !quiet {
-		fmt.Printf("recovery: replayed %d inserts (%d points restored) in %.1f ms\n", recInserts, recPoints, recMS)
-	}
+	m.set("recovery_ms", recMS, "ms")
+	m.set("recovered_inserts", float64(recInserts), "count")
+	m.set("recovered_points", float64(recPoints), "count")
 
-	report.FaultMatrix = crashFaultMatrix(seed)
-	report.DurationMS = float64(time.Since(start).Milliseconds())
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
+	// Every fault.* must hold for the recovery contract to hold.
+	for name, held := range crashFaultMatrix(seed) {
+		m.set("fault."+name, oneIf(held), "bool")
 	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return fmt.Errorf("write crash benchmark: %w", err)
-	}
-	if !quiet {
-		for name, ok := range report.FaultMatrix {
-			fmt.Printf("fault %-12s recovery contract held: %v\n", name, ok)
-		}
-	}
-	fmt.Printf("wrote %s\n\n", outPath)
-	return nil
+	m.set("duration_ms", float64(time.Since(start).Milliseconds()), "ms")
+	return writeReport(outPath, "crash", seed, m)
 }
 
 // crashCommit appends a batch's commit mark and runs the pre-ack group
@@ -158,32 +98,29 @@ func crashInsert(db *tsdb.DB, man *durable.Manager, readings int) {
 // crashMeasurePolicy times the WAL-attached insert path on a real directory
 // FS for one policy, then replays a deterministic power cut on the in-memory
 // crash FS to measure that policy's committed-data loss against its
-// documented bound.
-func crashMeasurePolicy(dir string, policy durable.Policy, readings int, baselineNs float64) (crashPolicyResult, error) {
-	res := crashPolicyResult{Policy: policy.String()}
-
+// documented bound. It records the results as metrics named <policy>.*.
+func crashMeasurePolicy(m metricSet, dir string, policy durable.Policy, readings int, baselineNs float64) error {
 	sub, err := os.MkdirTemp(dir, policy.String()+"-*")
 	if err != nil {
-		return res, err
+		return err
 	}
 	fs, err := durable.NewDirFS(sub)
 	if err != nil {
-		return res, err
+		return err
 	}
 	db := tsdb.New()
 	man, _, err := durable.Open(db, durable.Options{FS: fs, Policy: policy, CheckpointEvery: -1, Logf: func(string, ...any) {}})
 	if err != nil {
-		return res, err
+		return err
 	}
 	if policy == durable.PolicyInterval {
 		man.Start() // the 200ms group-commit ticker is part of this policy's cost
 	}
 	insStart := time.Now()
 	crashInsert(db, man, readings)
-	res.InsertNsPerOp = float64(time.Since(insStart).Nanoseconds()) / float64(readings)
-	res.OverheadPct = (res.InsertNsPerOp - baselineNs) / baselineNs * 100
+	insertNs := float64(time.Since(insStart).Nanoseconds()) / float64(readings)
 	if err := man.Close(); err != nil {
-		return res, err
+		return err
 	}
 
 	// Power cut: 25 committed batches of 100 readings on the crash FS. Sync
@@ -195,42 +132,49 @@ func crashMeasurePolicy(dir string, policy durable.Policy, readings int, baselin
 	cdb := tsdb.New()
 	cman, _, err := durable.Open(cdb, durable.Options{FS: mem, Policy: policy, CheckpointEvery: -1, Logf: func(string, ...any) {}})
 	if err != nil {
-		return res, err
+		return err
 	}
 	for b := 1; b <= batches; b++ {
 		for i := 0; i < per; i++ {
 			cdb.Insert("car-1/acc[0]", tsdb.Point{TimestampMillis: int64((b-1)*per + i), Value: 1})
 		}
 		if err := crashCommit(cman, "car-1", uint64(b)); err != nil {
-			return res, err
+			return err
 		}
 		if policy == durable.PolicyInterval && b%window == 0 {
 			if err := cman.Sync(); err != nil {
-				return res, err
+				return err
 			}
 		}
 	}
-	res.CommittedReadings = batches * per
+	committed := batches * per
 	mem.Crash()
 
 	rdb := tsdb.New()
 	rman, _, err := durable.Open(rdb, durable.Options{FS: mem, Policy: policy, CheckpointEvery: -1, Logf: func(string, ...any) {}})
 	if err != nil {
-		return res, err
+		return err
 	}
 	//lint:ignore errdrop measurement FS is discarded after the loss count
 	rman.Close()
-	res.LostReadings = res.CommittedReadings - rdb.Len("car-1/acc[0]")
+	// Readings acked as committed before the cut that the recovered store
+	// is missing, against the policy's documented worst-case loss.
+	lost := committed - rdb.Len("car-1/acc[0]")
+	bound := committed
 	switch policy {
 	case durable.PolicyAlways:
-		res.LossBound = 0
+		bound = 0
 	case durable.PolicyInterval:
-		res.LossBound = (batches % window) * per // the unsynced tail window
-	default:
-		res.LossBound = res.CommittedReadings
+		bound = (batches % window) * per // the unsynced tail window
 	}
-	res.LossBoundOK = res.LostReadings >= 0 && res.LostReadings <= res.LossBound
-	return res, nil
+	p := policy.String() + "."
+	m.set(p+"insert_ns_per_op", insertNs, "ns")
+	m.set(p+"overhead_pct", (insertNs-baselineNs)/baselineNs*100, "%")
+	m.set(p+"committed_readings", float64(committed), "count")
+	m.set(p+"lost_readings", float64(lost), "count")
+	m.set(p+"loss_bound", float64(bound), "count")
+	m.set(p+"loss_bound_ok", oneIf(lost >= 0 && lost <= bound), "bool")
+	return nil
 }
 
 // crashMeasureRecovery writes an on-disk WAL holding every reading with no
@@ -358,46 +302,4 @@ func crashFaultMatrix(seed int64) map[string]bool {
 		}
 	}
 	return out
-}
-
-// checkCrashBench validates a crash benchmark file (the -check-bench branch
-// for experiment "crash").
-func checkCrashBench(path string, buf []byte) error {
-	var report crashBenchReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if report.PR <= 0 || report.Experiment != "crash" {
-		return fmt.Errorf("%s: missing provenance (pr=%d experiment=%q)", path, report.PR, report.Experiment)
-	}
-	if report.Readings <= 0 || report.BaselineNsPerOp <= 0 {
-		return fmt.Errorf("%s: no insert workload recorded (readings=%d baseline=%v)", path, report.Readings, report.BaselineNsPerOp)
-	}
-	if len(report.Policies) != 3 {
-		return fmt.Errorf("%s: %d fsync policies measured, want 3", path, len(report.Policies))
-	}
-	for _, p := range report.Policies {
-		if p.InsertNsPerOp <= 0 {
-			return fmt.Errorf("%s: policy %q has no insert cost", path, p.Policy)
-		}
-		if !p.LossBoundOK {
-			return fmt.Errorf("%s: policy %q lost %d committed readings, over its bound %d",
-				path, p.Policy, p.LostReadings, p.LossBound)
-		}
-	}
-	if report.RecoveryMS <= 0 || report.RecoveredInserts <= 0 || report.RecoveredPoints < report.RecoveredInserts {
-		return fmt.Errorf("%s: recovery not measured (ms=%v inserts=%d points=%d)",
-			path, report.RecoveryMS, report.RecoveredInserts, report.RecoveredPoints)
-	}
-	for name, ok := range report.FaultMatrix {
-		if !ok {
-			return fmt.Errorf("%s: fault %q broke the recovery contract", path, name)
-		}
-	}
-	if len(report.FaultMatrix) < 3 {
-		return fmt.Errorf("%s: fault matrix covers %d faults, want >= 3", path, len(report.FaultMatrix))
-	}
-	fmt.Printf("%s ok: recovery of %d inserts in %.1f ms, %d fsync policies within loss bounds, %d faults held\n",
-		path, report.RecoveredInserts, report.RecoveryMS, len(report.Policies), len(report.FaultMatrix))
-	return nil
 }

@@ -11,16 +11,32 @@
 //	darnet-eval -exp all -out ./figures  # every paper table and figure
 //
 // Paper reference values are printed beside each measured number.
+//
+// The benchmark experiments write one report each, by default to their
+// committed BENCH_PR<n>.json (-bench-out overrides the path), and
+// -check-bench validates a report:
+//
+//	darnet-eval -exp bench    # BENCH_PR3.json: accuracy, serving-path stage latency
+//	darnet-eval -exp chaos    # BENCH_PR5.json: ingest under a fixed fault schedule
+//	darnet-eval -exp stream   # BENCH_PR7.json: the stream pipeline at saturation
+//	darnet-eval -exp obs      # BENCH_PR8.json: tracing and scraping overhead
+//	darnet-eval -exp crash    # BENCH_PR10.json: WAL cost, power-cut loss, recovery
+//	darnet-eval -check-bench BENCH_PR8.json
+//
+// Every report has the same shape: pr, experiment, seed, the provenance of
+// the machine it ran on, and named metrics, each a value with its unit.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -40,7 +56,7 @@ func main() {
 	log.SetPrefix("darnet-eval: ")
 
 	var (
-		exp        = flag.String("exp", "all", "experiment: table1|table2|figure5|figure4|table3|ablations|driver-split|kfold|bench|chaos|stream|obs|all")
+		exp        = flag.String("exp", "all", "experiment: table1|table2|figure5|figure4|table3|ablations|driver-split|kfold|all, or a benchmark: "+strings.Join(slices.Sorted(maps.Keys(benchmarks)), "|"))
 		scale      = flag.Float64("scale", 0.04, "fraction of the paper's Table 1 frame counts to generate")
 		seed       = flag.Int64("seed", 42, "train/eval random seed")
 		outDir     = flag.String("out", "figures", "output directory for figure artifacts")
@@ -49,8 +65,8 @@ func main() {
 		quiet      = flag.Bool("q", false, "suppress training progress")
 		dataPath   = flag.String("data", "", "load a saved 6-class dataset (darnet-datagen -save) instead of generating")
 		telem      = flag.Bool("telemetry", false, "print stage latency histograms and the most recent trace after the experiment")
-		benchOut   = flag.String("bench-out", "BENCH_PR3.json", "output path for the machine-readable benchmark (-exp bench)")
-		checkBench = flag.String("check-bench", "", "validate a benchmark JSON file and exit")
+		benchOut   = flag.String("bench-out", "", "output path for a benchmark's report (default: the benchmark's committed BENCH_PR<n>.json)")
+		checkBench = flag.String("check-bench", "", "validate a benchmark report and exit")
 	)
 	flag.Parse()
 
@@ -60,7 +76,7 @@ func main() {
 		}
 		return
 	}
-	if err := run(*exp, *scale, *seed, *outDir, *cnnEpochs, *rnnEpochs, *quiet, *dataPath, *benchOut); err != nil {
+	if err := run(*exp, *scale, *seed, *outDir, *cnnEpochs, *rnnEpochs, *quiet, *dataPath, benchOutPath(*exp, *benchOut)); err != nil {
 		log.Fatal(err)
 	}
 	if *telem {
@@ -113,26 +129,14 @@ func run(exp string, scale float64, seed int64, outDir string, cnnEpochs, rnnEpo
 		return table3(seed, cnnEpochs, quiet)
 	case "bench":
 		return bench(dataPath, scale, seed, cnnEpochs, rnnEpochs, quiet, benchOut)
-	case "crash":
-		if benchOut == "BENCH_PR3.json" { // the -bench-out default belongs to -exp bench
-			benchOut = "BENCH_PR10.json"
-		}
-		return crashBench(scale, seed, quiet, benchOut)
 	case "chaos":
-		if benchOut == "BENCH_PR3.json" { // the -bench-out default belongs to -exp bench
-			benchOut = "BENCH_PR5.json"
-		}
-		return chaosBench(seed, quiet, benchOut)
+		return chaosBench(seed, benchOut)
 	case "stream":
-		if benchOut == "BENCH_PR3.json" { // the -bench-out default belongs to -exp bench
-			benchOut = "BENCH_PR7.json"
-		}
 		return streamBench(scale, seed, cnnEpochs, rnnEpochs, quiet, benchOut)
 	case "obs":
-		if benchOut == "BENCH_PR3.json" { // the -bench-out default belongs to -exp bench
-			benchOut = "BENCH_PR8.json"
-		}
 		return obsBench(scale, seed, cnnEpochs, rnnEpochs, quiet, benchOut)
+	case "crash":
+		return crashBench(scale, seed, benchOut)
 	case "all":
 		if err := table1(scale); err != nil {
 			return err

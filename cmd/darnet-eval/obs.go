@@ -4,15 +4,15 @@ package main
 // workload of -exp stream runs in two arms — a baseline with agent-side trace
 // propagation off and no scraper, and an instrumented arm with distributed
 // tracing on and the telemetry→tsdb scraper sampling at a tight interval.
-// The arms alternate (baseline, instrumented, baseline, ...) so drift in host
-// load hits both equally, and each arm keeps its best run. The acceptance bar
-// checked by -check-bench: the instrumented arm's processed-readings
-// throughput within 5% of baseline.
+// The arms run in pairs, and each pair's throughput loss is measured against
+// its own baseline run, so drift in host load between pairs cancels; which
+// arm runs first alternates from pair to pair. The reported overhead is the
+// median loss over the pairs, and the acceptance bar checked by -check-bench
+// is that it stays within 5%.
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
+	"slices"
 	"time"
 
 	"darnet/internal/obs"
@@ -21,96 +21,99 @@ import (
 
 const (
 	obsRunFor         = 2 * time.Second
-	obsRunsPerArm     = 3
+	obsPairs          = 9 // odd, so the median is one pair's loss
 	obsScrapeInterval = 100 * time.Millisecond
 )
 
-// obsArm is one side of the overhead comparison: the best (highest
-// processed/sec) of its runs.
+// obsArm totals one side of the overhead comparison over its runs.
 type obsArm struct {
-	Runs            int     `json:"runs"`
-	ProcessedPerSec float64 `json:"processed_per_sec"`
-	DecisionsPerSec float64 `json:"decisions_per_sec"`
-	Processed       int64   `json:"processed_readings"`
-	Decisions       int64   `json:"decisions"`
-	ShedReadings    int64   `json:"shed_readings"`
-	MaxDepth        int64   `json:"max_depth"`
+	runs                                 int
+	elapsed                              time.Duration
+	processed, decisions, shed, maxDepth int64
 }
 
-// record folds one run into the arm, keeping the best throughput.
-func (a *obsArm) record(res *satResult) {
-	a.Runs++
-	pps := float64(res.processed) / res.elapsed.Seconds()
-	if pps <= a.ProcessedPerSec {
-		return
-	}
-	a.ProcessedPerSec = pps
-	a.DecisionsPerSec = float64(res.stats.Decisions) / res.elapsed.Seconds()
-	a.Processed = res.processed
-	a.Decisions = res.stats.Decisions
-	a.ShedReadings = res.stats.ShedReadings
-	a.MaxDepth = res.stats.MaxDepth
+// record folds one run into the arm and returns the run's processed/sec.
+func (a *obsArm) record(res *satResult) float64 {
+	a.runs++
+	a.elapsed += res.elapsed
+	a.processed += res.processed
+	a.decisions += res.stats.Decisions
+	a.shed += res.stats.ShedReadings
+	a.maxDepth = max(a.maxDepth, res.stats.MaxDepth)
+	return float64(res.processed) / res.elapsed.Seconds()
 }
 
-// obsReport is the BENCH_PR8.json schema: provenance, both arms, the
-// throughput overhead, and the evidence that the instrumented arm really
-// traced and scraped (merged flush traces retained, history series written).
-type obsReport struct {
-	PR               int     `json:"pr"`
-	Experiment       string  `json:"experiment"`
-	Seed             int64   `json:"seed"`
-	RunForMS         float64 `json:"run_for_ms"`
-	ScrapeIntervalMS float64 `json:"scrape_interval_ms"`
-	QueueCap         int     `json:"queue_cap"`
-
-	Baseline     obsArm `json:"baseline"`
-	Instrumented obsArm `json:"instrumented"`
-
-	// OverheadPct is the baseline→instrumented throughput loss in percent
-	// (negative when the instrumented arm measured faster — noise).
-	OverheadPct   float64 `json:"overhead_pct"`
-	Scrapes       int64   `json:"scrapes"`
-	HistorySeries int     `json:"history_series"`
-	FlushTraces   int     `json:"flush_traces"`
+// put records the arm's totals as metrics named arm.*.
+func (a *obsArm) put(m metricSet, arm string) {
+	secs := a.elapsed.Seconds()
+	m.set(arm+".runs", float64(a.runs), "count")
+	m.set(arm+".processed_per_sec", float64(a.processed)/secs, "1/s")
+	m.set(arm+".decisions_per_sec", float64(a.decisions)/secs, "1/s")
+	m.set(arm+".processed_readings", float64(a.processed), "count")
+	m.set(arm+".decisions", float64(a.decisions), "count")
+	m.set(arm+".shed_readings", float64(a.shed), "count")
+	m.set(arm+".max_depth", float64(a.maxDepth), "count")
 }
 
-// obsBench trains one engine, alternates baseline and instrumented
-// saturating runs over it, and writes the machine-readable overhead report.
+// obsBench trains one engine, runs obsPairs (baseline, instrumented) pairs of
+// saturating runs over it, and writes the report to outPath: both arms, the
+// per-pair and median throughput loss, and the evidence that the
+// instrumented arm really traced and scraped (merged flush traces retained,
+// history series written).
 func obsBench(scale float64, seed int64, cnnEpochs, rnnEpochs int, quiet bool, outPath string) error {
 	eng, ds, err := trainStreamEngine(scale, seed, cnnEpochs, rnnEpochs, quiet)
 	if err != nil {
 		return err
 	}
 
+	m := metricSet{}
 	var base, instr obsArm
 	var scrapes int64
 	historySeries := 0
-	for i := 0; i < obsRunsPerArm; i++ {
+	losses := make([]float64, obsPairs)
+	for i := range obsPairs {
 		runSeed := seed + int64(i)
-		res, err := saturatingRun(eng, ds, runSeed, obsRunFor, true)
-		if err != nil {
-			return fmt.Errorf("baseline run %d: %w", i+1, err)
+		var basePS, instrPS float64
+		runBase := func() error {
+			res, err := saturatingRun(eng, ds, runSeed, obsRunFor, true)
+			if err != nil {
+				return fmt.Errorf("baseline run %d: %w", i+1, err)
+			}
+			basePS = base.record(res)
+			return nil
 		}
-		base.record(res)
-
-		// The scraper lives exactly as long as the instrumented run, so its
-		// sampling cost lands inside the measured window; Stop's final flush
-		// is part of the arm, matching darnetd's shutdown behavior.
-		scraper, err := obs.NewScraper(obs.ScrapeConfig{Interval: obsScrapeInterval})
-		if err != nil {
+		runInstr := func() error {
+			// The scraper lives exactly as long as the instrumented run, so
+			// its sampling cost lands inside the measured window; Stop's
+			// final flush is part of the arm, matching darnetd's shutdown
+			// behavior.
+			scraper, err := obs.NewScraper(obs.ScrapeConfig{Interval: obsScrapeInterval})
+			if err != nil {
+				return err
+			}
+			scraper.Start()
+			res, err := saturatingRun(eng, ds, runSeed, obsRunFor, false)
+			scraper.Stop()
+			if err != nil {
+				return fmt.Errorf("instrumented run %d: %w", i+1, err)
+			}
+			instrPS = instr.record(res)
+			scrapes += scraper.Scrapes()
+			historySeries = max(historySeries, len(scraper.DB().Series()))
+			return nil
+		}
+		first, second := runBase, runInstr
+		if i%2 == 1 {
+			first, second = runInstr, runBase
+		}
+		if err := first(); err != nil {
 			return err
 		}
-		scraper.Start()
-		res, err = saturatingRun(eng, ds, runSeed, obsRunFor, false)
-		scraper.Stop()
-		if err != nil {
-			return fmt.Errorf("instrumented run %d: %w", i+1, err)
+		if err := second(); err != nil {
+			return err
 		}
-		instr.record(res)
-		scrapes += scraper.Scrapes()
-		if n := len(scraper.DB().Series()); n > historySeries {
-			historySeries = n
-		}
+		losses[i] = (1 - instrPS/basePS) * 100
+		m.set(fmt.Sprintf("pair%d.overhead_pct", i+1), losses[i], "%")
 	}
 
 	// Only traced (instrumented) flushes produce merged trees rooted at the
@@ -122,78 +125,17 @@ func obsBench(scale float64, seed int64, cnnEpochs, rnnEpochs int, quiet bool, o
 		}
 	}
 
-	report := obsReport{
-		PR:               8,
-		Experiment:       "obs",
-		Seed:             seed,
-		RunForMS:         float64(obsRunFor.Milliseconds()),
-		ScrapeIntervalMS: float64(obsScrapeInterval.Milliseconds()),
-		QueueCap:         streamQueueCap,
-		Baseline:         base,
-		Instrumented:     instr,
-		OverheadPct:      (1 - instr.ProcessedPerSec/base.ProcessedPerSec) * 100,
-		Scrapes:          scrapes,
-		HistorySeries:    historySeries,
-		FlushTraces:      flushTraces,
-	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return fmt.Errorf("write obs benchmark: %w", err)
-	}
-	if !quiet {
-		fmt.Printf("== obs: tracing+scraping overhead on the saturating stream workload ==\n")
-		fmt.Printf("baseline      %.0f readings/s (%.0f decisions/s, best of %d runs)\n",
-			base.ProcessedPerSec, base.DecisionsPerSec, base.Runs)
-		fmt.Printf("instrumented  %.0f readings/s (%.0f decisions/s, best of %d runs)\n",
-			instr.ProcessedPerSec, instr.DecisionsPerSec, instr.Runs)
-		fmt.Printf("overhead %.2f%%; %d scrapes into %d history series, %d merged flush traces retained\n",
-			report.OverheadPct, scrapes, historySeries, flushTraces)
-	}
-	fmt.Printf("wrote %s\n\n", outPath)
-	return nil
-}
-
-// checkObsBench validates an obs benchmark file (the -check-bench branch for
-// experiment "obs"): both arms ran saturated with bounded queues, the
-// instrumented arm demonstrably traced and scraped, and the overhead is
-// within the 5% budget.
-func checkObsBench(path string, buf []byte) error {
-	var report obsReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if report.PR <= 0 || report.Experiment != "obs" {
-		return fmt.Errorf("%s: missing provenance (pr=%d experiment=%q)", path, report.PR, report.Experiment)
-	}
-	for name, arm := range map[string]obsArm{"baseline": report.Baseline, "instrumented": report.Instrumented} {
-		if arm.Runs <= 0 || arm.Processed <= 0 || arm.ProcessedPerSec <= 0 {
-			return fmt.Errorf("%s: %s arm never processed anything (%+v)", path, name, arm)
-		}
-		if arm.Decisions <= 0 {
-			return fmt.Errorf("%s: %s arm produced no classifications", path, name)
-		}
-		if report.QueueCap <= 0 || arm.MaxDepth > int64(report.QueueCap) {
-			return fmt.Errorf("%s: %s arm queue bound violated (max_depth=%d cap=%d)",
-				path, name, arm.MaxDepth, report.QueueCap)
-		}
-	}
-	if report.Scrapes <= 0 || report.HistorySeries <= 0 {
-		return fmt.Errorf("%s: instrumented arm never scraped (scrapes=%d series=%d)",
-			path, report.Scrapes, report.HistorySeries)
-	}
-	if report.FlushTraces <= 0 {
-		return fmt.Errorf("%s: no merged agent→controller traces retained — tracing was not live", path)
-	}
-	if report.OverheadPct > 5 {
-		return fmt.Errorf("%s: tracing+scraping overhead %.2f%% exceeds the 5%% budget", path, report.OverheadPct)
-	}
-	fmt.Printf("%s ok: overhead %.2f%% (baseline %.0f/s → instrumented %.0f/s), %d scrapes, %d history series, %d flush traces\n",
-		path, report.OverheadPct, report.Baseline.ProcessedPerSec, report.Instrumented.ProcessedPerSec,
-		report.Scrapes, report.HistorySeries, report.FlushTraces)
-	return nil
+	slices.Sort(losses)
+	m.set("run_for_ms", float64(obsRunFor.Milliseconds()), "ms")
+	m.set("scrape_interval_ms", float64(obsScrapeInterval.Milliseconds()), "ms")
+	m.set("queue_cap", streamQueueCap, "count")
+	base.put(m, "baseline")
+	instr.put(m, "instrumented")
+	// Throughput loss in percent; negative when the instrumented arm
+	// measured faster, which is noise.
+	m.set("overhead_pct", losses[obsPairs/2], "%")
+	m.set("scrapes", float64(scrapes), "count")
+	m.set("history_series", float64(historySeries), "count")
+	m.set("flush_traces", float64(flushTraces), "count")
+	return writeReport(outPath, "obs", seed, m)
 }

@@ -10,11 +10,9 @@ package main
 // depth never above the cap). It is the overload counterpart of -exp chaos.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"time"
 
 	"darnet"
@@ -38,39 +36,6 @@ const (
 	streamPollStepMS    = 25 // simulated sensor clock step per poll
 	streamAlertDwellMS  = 100
 )
-
-// streamReport is the BENCH_PR7.json schema: provenance, the offered /
-// processed / shed accounting that proves saturation with bounded memory,
-// decision throughput, alert-latency percentiles, and the degradation
-// counters (frames skipped, flushes deferred, watchdog restarts).
-type streamReport struct {
-	PR         int     `json:"pr"`
-	Experiment string  `json:"experiment"`
-	Seed       int64   `json:"seed"`
-	DurationMS float64 `json:"duration_ms"`
-
-	QueueCap          int     `json:"queue_cap"`
-	GeneratedReadings int64   `json:"generated_readings"` // polled by the agent (incl. spill-dropped)
-	OfferedReadings   int64   `json:"offered_readings"`   // delivered to the controller and stored
-	ShedReadings      int64   `json:"shed_readings"`      // dropped at the full classify queue
-	SpillDropped      int64   `json:"spill_dropped"`      // dropped oldest-first at the agent spill valve
-	ProcessedReadings int64   `json:"processed_readings"`
-	SaturationRatio   float64 `json:"saturation_ratio"` // generated / processed, ≥ 2 proves overload
-	MaxDepth          int64   `json:"max_depth"`        // must stay ≤ queue_cap
-
-	Decisions       int64   `json:"decisions"`
-	DecisionsPerSec float64 `json:"decisions_per_sec"`
-	Frames          int64   `json:"frames"`
-	FramesSkipped   int64   `json:"frames_skipped"`
-	Restarts        int64   `json:"restarts"`
-	AlertsRaised    int64   `json:"alerts_raised"`
-	AlertsCleared   int64   `json:"alerts_cleared"`
-
-	AlertLatencyP50MS float64 `json:"alert_latency_p50_ms"`
-	AlertLatencyP99MS float64 `json:"alert_latency_p99_ms"`
-
-	DeferredFlushes int64 `json:"deferred_flushes"`
-}
 
 // satResult aggregates one saturating loopback run (see saturatingRun).
 type satResult struct {
@@ -110,7 +75,11 @@ func trainStreamEngine(scale float64, seed int64, cnnEpochs, rnnEpochs int, quie
 }
 
 // streamBench trains a small engine, saturates a streaming controller over
-// loopback TCP, and writes the machine-readable overload benchmark.
+// loopback TCP, and writes the report to outPath: the generated / offered /
+// processed / shed accounting that proves saturation with bounded memory
+// (generated / processed >= 2, max depth <= queue cap), decision
+// throughput, alert-latency percentiles, and the degradation counters
+// (frames skipped, flushes deferred, watchdog restarts).
 func streamBench(scale float64, seed int64, cnnEpochs, rnnEpochs int, quiet bool, outPath string) error {
 	eng, ds, err := trainStreamEngine(scale, seed, cnnEpochs, rnnEpochs, quiet)
 	if err != nil {
@@ -122,54 +91,32 @@ func streamBench(scale float64, seed int64, cnnEpochs, rnnEpochs int, quiet bool
 	}
 	s := res.stats
 
-	report := streamReport{
-		PR:                7,
-		Experiment:        "stream",
-		Seed:              seed,
-		DurationMS:        float64(res.elapsed.Milliseconds()),
-		QueueCap:          streamQueueCap,
-		GeneratedReadings: res.generated,
-		OfferedReadings:   res.offered,
-		ShedReadings:      s.ShedReadings,
-		SpillDropped:      res.spillDropped,
-		ProcessedReadings: res.processed,
-		SaturationRatio:   float64(res.generated) / float64(res.processed),
-		MaxDepth:          s.MaxDepth,
-		Decisions:         s.Decisions,
-		DecisionsPerSec:   float64(s.Decisions) / res.elapsed.Seconds(),
-		Frames:            s.Frames,
-		FramesSkipped:     s.FramesSkipped,
-		Restarts:          s.Restarts,
-		AlertsRaised:      s.AlertsRaised,
-		AlertsCleared:     s.AlertsCleared,
-		DeferredFlushes:   res.deferred,
-	}
+	secs := res.elapsed.Seconds()
+	m := metricSet{}
+	m.set("duration_ms", float64(res.elapsed.Milliseconds()), "ms")
+	m.set("queue_cap", streamQueueCap, "count")
+	m.set("generated_readings", float64(res.generated), "count")
+	m.set("offered_readings", float64(res.offered), "count")
+	m.set("shed_readings", float64(s.ShedReadings), "count")
+	m.set("spill_dropped", float64(res.spillDropped), "count")
+	m.set("processed_readings", float64(res.processed), "count")
+	m.set("saturation_ratio", float64(res.generated)/float64(res.processed), "ratio")
+	m.set("max_depth", float64(s.MaxDepth), "count")
+	m.set("decisions", float64(s.Decisions), "count")
+	m.set("decisions_per_sec", float64(s.Decisions)/secs, "1/s")
+	m.set("frames", float64(s.Frames), "count")
+	m.set("frames_skipped", float64(s.FramesSkipped), "count")
+	m.set("restarts", float64(s.Restarts), "count")
+	m.set("alerts_raised", float64(s.AlertsRaised), "count")
+	m.set("alerts_cleared", float64(s.AlertsCleared), "count")
+	m.set("deferred_flushes", float64(res.deferred), "count")
 	for _, h := range telemetry.Default.Snapshot().Histograms {
 		if h.Name == "darnet_stream_alert_latency_seconds" {
-			report.AlertLatencyP50MS = h.P50 * 1000
-			report.AlertLatencyP99MS = h.P99 * 1000
+			m.set("alert_latency_p50_ms", h.P50*1000, "ms")
+			m.set("alert_latency_p99_ms", h.P99*1000, "ms")
 		}
 	}
-
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(outPath, buf, 0o644); err != nil {
-		return fmt.Errorf("write stream benchmark: %w", err)
-	}
-	if !quiet {
-		fmt.Printf("== stream: %v saturating overload run ==\n", streamRunFor)
-		fmt.Printf("generated %d readings, processed %d, shed %d at the queue + %d at the spill valve (saturation %.1fx), max depth %d/%d\n",
-			res.generated, res.processed, s.ShedReadings, res.spillDropped, report.SaturationRatio, s.MaxDepth, streamQueueCap)
-		fmt.Printf("decisions %d (%.0f/s), frames %d (skipped %d), alerts %d raised / %d cleared\n",
-			s.Decisions, report.DecisionsPerSec, s.Frames, s.FramesSkipped, s.AlertsRaised, s.AlertsCleared)
-		fmt.Printf("alert latency p50 %.1f ms, p99 %.1f ms; deferred %d flushes, spill-dropped %d\n",
-			report.AlertLatencyP50MS, report.AlertLatencyP99MS, res.deferred, res.spillDropped)
-	}
-	fmt.Printf("wrote %s\n\n", outPath)
-	return nil
+	return writeReport(outPath, "stream", seed, m)
 }
 
 // saturatingRun floods a loopback streaming controller with the hot-loop
@@ -297,43 +244,4 @@ func saturatingRun(eng *darnet.Engine, ds *darnet.Dataset, seed int64, runFor ti
 		deferred:     deferred,
 		stats:        s,
 	}, nil
-}
-
-// checkStreamBench validates a stream benchmark file (the -check-bench branch
-// for experiment "stream"): saturation demonstrated, memory bounded, alert
-// latency measured.
-func checkStreamBench(path string, buf []byte) error {
-	var report streamReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	if report.PR <= 0 || report.Experiment != "stream" {
-		return fmt.Errorf("%s: missing provenance (pr=%d experiment=%q)", path, report.PR, report.Experiment)
-	}
-	if report.QueueCap <= 0 || report.MaxDepth <= 0 || report.MaxDepth > int64(report.QueueCap) {
-		return fmt.Errorf("%s: queue bound violated (max_depth=%d cap=%d)", path, report.MaxDepth, report.QueueCap)
-	}
-	if report.ShedReadings+report.SpillDropped <= 0 {
-		return fmt.Errorf("%s: nothing shed at either valve — the run never saturated", path)
-	}
-	if report.SaturationRatio < 2 {
-		return fmt.Errorf("%s: saturation ratio %.2f below the promised 2x overload", path, report.SaturationRatio)
-	}
-	if report.Decisions <= 0 || report.DecisionsPerSec <= 0 {
-		return fmt.Errorf("%s: no sustained classification throughput (decisions=%d)", path, report.Decisions)
-	}
-	if report.AlertLatencyP99MS <= 0 || report.AlertLatencyP50MS > report.AlertLatencyP99MS {
-		return fmt.Errorf("%s: alert latency percentiles inconsistent (p50=%v p99=%v)",
-			path, report.AlertLatencyP50MS, report.AlertLatencyP99MS)
-	}
-	if report.AlertsRaised <= 0 {
-		return fmt.Errorf("%s: distracted-driving input never raised an alert", path)
-	}
-	if report.FramesSkipped <= 0 {
-		return fmt.Errorf("%s: overload never engaged frame skipping", path)
-	}
-	fmt.Printf("%s ok: %.0f decisions/s under %.1fx overload, alert p99 %.1f ms, depth %d/%d, shed %d, skipped %d\n",
-		path, report.DecisionsPerSec, report.SaturationRatio, report.AlertLatencyP99MS,
-		report.MaxDepth, report.QueueCap, report.ShedReadings, report.FramesSkipped)
-	return nil
 }
