@@ -29,12 +29,11 @@ OBS_OUT ?= /tmp/darnet-obs-smoke.json
 CRASH_OUT ?= /tmp/darnet-crash-smoke.json
 CRASH_SCALE ?= 0.01
 
-.PHONY: verify fmt vet lint lint-module lint-fast lint-concurrency build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos
+.PHONY: verify fmt vet lint build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos
 
-# The module-scope lint sweep in verify must finish inside this many
-# milliseconds: the analyzers are part of the inner loop, and a regression
-# in IR construction or summary linking should fail the gate, not silently
-# tax every future build.
+# The lint sweep in verify must finish inside this many milliseconds: the
+# analyzers are part of the inner loop, and a regression in loading or IR
+# construction should fail the gate, not silently tax every future build.
 LINT_BUDGET_MS ?= 2000
 
 verify: fmt vet lint build test race perfbench-test stream-smoke obs-smoke crash-smoke
@@ -50,16 +49,12 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs the full analyzer registry at module scope (the default): the
-# packages are linked in dependency order, goleak/lockorder/hotalloc/ctxprop
-# follow calls across package boundaries, and the module-only analyzers
-# (shapeflow, chanlife, atomicmix, qbound) run. Per-analyzer and per-phase
-# wall time go to stderr, and the sweep itself — binary prebuilt so compile
-# time doesn't count — must finish inside LINT_BUDGET_MS.
-# lint-module is the same gate spelled explicitly (CI calls it for the
-# artifact upload); lint-fast drops to per-package scope and skips the
-# interprocedural analyzers — the quick inner-loop check; lint-concurrency
-# runs only the three concurrency analyzers.
+# lint runs the full analyzer registry over the module as one linked unit:
+# one call graph spans every package, so the whole-program analyzers follow
+# calls across package boundaries, and a //lint:ignore that suppresses
+# nothing is itself a finding. Per-phase and per-analyzer wall time go to
+# stderr, and the sweep itself — binary prebuilt so compile time doesn't
+# count — must finish inside LINT_BUDGET_MS.
 lint:
 	@$(GO) build -o /tmp/darnet-lint-verify ./cmd/darnet-lint
 	@start=$$(date +%s%N); /tmp/darnet-lint-verify -timings ./...; rc=$$?; \
@@ -69,15 +64,6 @@ lint:
 	if [ $$ms -gt $(LINT_BUDGET_MS) ]; then \
 		echo "lint: exceeded the $(LINT_BUDGET_MS)ms wall-time budget"; exit 1; \
 	fi
-
-lint-module:
-	$(GO) run ./cmd/darnet-lint -ipa=module -timings ./...
-
-lint-fast:
-	$(GO) run ./cmd/darnet-lint -ipa=pkg -skip goleak,lockorder,hotalloc,ctxprop ./...
-
-lint-concurrency:
-	$(GO) run ./cmd/darnet-lint -ipa=module -only chanlife,atomicmix,qbound ./...
 
 build:
 	$(GO) build ./...

@@ -1,7 +1,7 @@
 // Command darnet-lint runs DarNet's project-specific static analyzers over
 // the module and exits non-zero on findings.
 //
-//	darnet-lint [-json|-sarif] [-list] [-only rules] [-skip rules] [-ipa pkg|module] [-timings] [-unused-ignores] [packages...]
+//	darnet-lint [-json|-sarif] [-list] [-timings] [packages...]
 //
 // Packages default to ./... (the whole module); "dir/..." subtree patterns
 // and plain directory paths are also accepted. Each finding is reported as
@@ -12,38 +12,27 @@
 // objects, or, with -sarif, as a SARIF 2.1.0 log — all three sorted by
 // (file, line, column, rule) so CI can diff lint results across commits.
 //
-// -ipa selects the interprocedural scope. The default, "module", analyzes
-// the matched packages as one linked unit in dependency order: each package
-// folds the serialized function summaries of its already-analyzed
-// dependencies into its own, so goleak/lockorder/hotalloc/ctxprop follow
-// calls across package boundaries and the module-scope shapeflow analyzer
-// runs. "pkg" restores the per-package engine: faster, no cross-package
-// facts, module-only analyzers unavailable.
-//
-// -only and -skip take comma-separated analyzer names (see -list) and
-// select a subset of the registry; naming an unknown analyzer is an error,
-// not a silent no-op. -timings reports per-analyzer wall time (aggregated
-// across packages) on stderr, plus per-phase load/ir/analyze/link times in
-// module mode.
+// The matched packages are analyzed as one linked unit in dependency order:
+// one call graph spans them, so goleak, lockorder, hotalloc, ctxprop,
+// shapeflow, chanlife and atomicmix follow calls across package
+// boundaries. -list shows the registry; -timings reports per-phase
+// load/ir/analyze and per-analyzer wall time (aggregated across packages)
+// on stderr.
 //
 // Suppress a finding with a justified directive on the offending line or
 // the line above:
 //
 //	//lint:ignore <rule> <reason>
 //
-// -unused-ignores additionally reports (as [unused-ignore] findings)
-// every such directive that suppressed nothing — neither an analyzer
-// finding nor a summary-export site. It requires -ipa=module: whether a
-// suppression is consumed by a dependent package is a whole-module
-// question. Unused reporting is relative to the analyzers that ran, so a
-// directive for a -skip'd analyzer is dormant, not stale.
+// A directive that suppressed nothing — neither a finding nor a fact
+// another package's analysis used — is itself reported, as an
+// [unused-ignore] finding.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"darnet/internal/lint"
 )
@@ -52,24 +41,13 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	list := flag.Bool("list", false, "list registered analyzers and exit")
-	only := flag.String("only", "", "comma-separated analyzers to run (default: all)")
-	skip := flag.String("skip", "", "comma-separated analyzers to exclude")
-	ipa := flag.String("ipa", "module", "interprocedural scope: module (cross-package linking) or pkg")
-	timings := flag.Bool("timings", false, "report per-analyzer wall time on stderr")
-	unusedIgnores := flag.Bool("unused-ignores", false, "also report //lint:ignore directives that suppressed nothing (requires -ipa=module)")
+	timings := flag.Bool("timings", false, "report per-phase and per-analyzer wall time on stderr")
 	flag.Parse()
 
+	analyzers := lint.AllModule()
 	if *list {
-		moduleOnly := make(map[string]bool)
-		for _, a := range lint.Module() {
-			moduleOnly[a.Name] = true
-		}
-		for _, a := range lint.AllModule() {
-			scope := ""
-			if moduleOnly[a.Name] {
-				scope = " (module scope only)"
-			}
-			fmt.Printf("%-12s %s%s\n", a.Name, a.Doc, scope)
+		for _, a := range analyzers {
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -77,43 +55,25 @@ func main() {
 		fmt.Fprintln(os.Stderr, "darnet-lint: -json and -sarif are mutually exclusive")
 		os.Exit(2)
 	}
-	if *ipa != "pkg" && *ipa != "module" {
-		fmt.Fprintf(os.Stderr, "darnet-lint: -ipa must be \"pkg\" or \"module\", got %q\n", *ipa)
-		os.Exit(2)
-	}
-	if *unusedIgnores && *ipa != "module" {
-		fmt.Fprintln(os.Stderr, "darnet-lint: -unused-ignores requires -ipa=module (usage is resolved against the whole linked module)")
-		os.Exit(2)
-	}
-
-	analyzers, err := selectAnalyzers(*only, *skip, *ipa)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "darnet-lint: %v\n", err)
-		os.Exit(2)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	diags, unused, spent, phases, err := run(patterns, analyzers, *ipa)
+	res, err := run(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "darnet-lint: %v\n", err)
 		os.Exit(2)
-	}
-	if *unusedIgnores {
-		diags = append(diags, unused...)
-		lint.SortDiagnostics(diags)
 	}
 
 	var out string
 	switch {
 	case *jsonOut:
-		out, err = renderJSON(diags)
+		out, err = renderJSON(res.Diags)
 	case *sarifOut:
-		out, err = renderSARIF(diags, analyzers)
+		out, err = renderSARIF(res.Diags, analyzers)
 	default:
-		out = renderText(diags)
+		out = renderText(res.Diags)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "darnet-lint: %v\n", err)
@@ -122,138 +82,33 @@ func main() {
 	fmt.Print(out)
 
 	if *timings {
-		fmt.Fprint(os.Stderr, renderTimings(analyzers, spent, phases))
+		fmt.Fprint(os.Stderr, renderTimings(analyzers, res.Spent, res.Phases))
 	}
-	if len(diags) > 0 {
+	if len(res.Diags) > 0 {
 		os.Exit(1)
 	}
 }
 
-// registryFor returns the analyzers available at the given -ipa scope.
-func registryFor(ipa string) []*lint.Analyzer {
-	if ipa == "module" {
-		return lint.AllModule()
-	}
-	return lint.All()
-}
-
-// selectAnalyzers resolves -only/-skip against the registry of the chosen
-// scope. Unknown names are errors — a typo must not silently disable a
-// check — and come with a nearest-name suggestion when one is close.
-func selectAnalyzers(only, skip, ipa string) ([]*lint.Analyzer, error) {
-	registry := registryFor(ipa)
-	byName := make(map[string]*lint.Analyzer)
-	for _, a := range registry {
-		byName[a.Name] = a
-	}
-	moduleOnly := make(map[string]bool)
-	for _, a := range lint.Module() {
-		moduleOnly[a.Name] = true
-	}
-	parse := func(flagName, csv string) (map[string]bool, error) {
-		if csv == "" {
-			return nil, nil
-		}
-		set := make(map[string]bool)
-		for _, name := range strings.Split(csv, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if _, ok := byName[name]; !ok {
-				if ipa != "module" && moduleOnly[name] {
-					return nil, fmt.Errorf("-%s: analyzer %q requires -ipa=module (it links cross-package summaries)", flagName, name)
-				}
-				if s := nearestName(name, registry); s != "" {
-					return nil, fmt.Errorf("-%s: unknown analyzer %q (did you mean %q? see -list)", flagName, name, s)
-				}
-				return nil, fmt.Errorf("-%s: unknown analyzer %q (see -list)", flagName, name)
-			}
-			set[name] = true
-		}
-		return set, nil
-	}
-	onlySet, err := parse("only", only)
-	if err != nil {
-		return nil, err
-	}
-	skipSet, err := parse("skip", skip)
-	if err != nil {
-		return nil, err
-	}
-	var out []*lint.Analyzer
-	for _, a := range registry {
-		if onlySet != nil && !onlySet[a.Name] {
-			continue
-		}
-		if skipSet[a.Name] {
-			continue
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("selection leaves no analyzers to run")
-	}
-	return out, nil
-}
-
-// nearestName returns the registered analyzer name within edit distance 2 of
-// the typo, or "".
-func nearestName(typo string, registry []*lint.Analyzer) string {
-	best, bestDist := "", 3
-	for _, a := range registry {
-		if d := editDistance(typo, a.Name); d < bestDist {
-			best, bestDist = a.Name, d
-		}
-	}
-	return best
-}
-
-// editDistance is the Levenshtein distance between two short names.
-func editDistance(a, b string) int {
-	prev := make([]int, len(b)+1)
-	cur := make([]int, len(b)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			cur[j] = min(min(cur[j-1]+1, prev[j]+1), prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(b)]
-}
-
-// run loads every package matching the patterns and applies the analyzers —
-// as one linked module in dependency order when ipa is "module", or each
-// package in isolation when "pkg" — returning the globally sorted findings,
-// the unused //lint:ignore directives (module mode only), per-analyzer wall
-// time (nanoseconds, summed across packages), and the pipeline phase
-// timings (module mode only).
-func run(patterns []string, analyzers []*lint.Analyzer, ipa string) ([]lint.Diagnostic, []lint.Diagnostic, map[string]int64, []lint.Timing, error) {
+// run loads every package matching the patterns and analyzes them as one
+// linked module with the full registry.
+func run(patterns []string) (*lint.ModuleResult, error) {
 	cwd, err := os.Getwd()
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	loader, err := lint.NewLoader(cwd)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, err
 	}
 	var pkgs [][2]string
 	seen := make(map[string]bool)
 	for _, pattern := range patterns {
 		matched, err := loader.ModulePackages(pattern)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, err
 		}
 		if len(matched) == 0 {
-			return nil, nil, nil, nil, fmt.Errorf("no packages match %q", pattern)
+			return nil, fmt.Errorf("no packages match %q", pattern)
 		}
 		for _, p := range matched {
 			if !seen[p[1]] {
@@ -262,28 +117,5 @@ func run(patterns []string, analyzers []*lint.Analyzer, ipa string) ([]lint.Diag
 			}
 		}
 	}
-
-	if ipa == "module" {
-		res, err := lint.AnalyzeModule(loader, pkgs, analyzers)
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return res.Diags, res.Unused, res.Spent, res.Phases, nil
-	}
-
-	spent := make(map[string]int64)
-	var diags []lint.Diagnostic
-	for _, p := range pkgs {
-		pkg, err := loader.LoadDir(p[0], p[1])
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		got, timings := lint.RunTimed(pkg, analyzers)
-		diags = append(diags, got...)
-		for _, tm := range timings {
-			spent[tm.Analyzer] += tm.Elapsed.Nanoseconds()
-		}
-	}
-	lint.SortDiagnostics(diags)
-	return diags, nil, spent, nil, nil
+	return lint.AnalyzeModule(loader, pkgs, lint.AllModule())
 }

@@ -18,33 +18,46 @@ var fixtureDirs = []string{
 }
 
 // TestDriverOutputDeterministic runs the driver pipeline twice over the same
-// fixture tree in both -ipa scopes and asserts all three output formats are
-// byte-identical: the contract CI relies on to diff lint results across
-// commits.
+// fixture packages and asserts all three output formats are byte-identical:
+// the contract CI relies on to diff lint results across commits. "pkg"
+// lints each fixture package in its own run, "module" lints them together
+// as one linked unit; the fixtures import none of each other, so both
+// scopes must also agree.
 func TestDriverOutputDeterministic(t *testing.T) {
-	for _, ipa := range []string{"pkg", "module"} {
-		t.Run(ipa, func(t *testing.T) {
-			analyzers := registryFor(ipa)
+	analyzers := lint.AllModule()
+	var texts []string
+	for _, scope := range []string{"pkg", "module"} {
+		t.Run(scope, func(t *testing.T) {
+			batches := [][]string{fixtureDirs}
+			if scope == "pkg" {
+				batches = nil
+				for _, dir := range fixtureDirs {
+					batches = append(batches, []string{dir})
+				}
+			}
 			var text, jsonOut, sarif [2]string
 			for i := 0; i < 2; i++ {
-				diags, _, spent, phases, err := run(fixtureDirs, analyzers, ipa)
-				if err != nil {
-					t.Fatalf("run %d: %v", i, err)
+				var diags []lint.Diagnostic
+				for _, batch := range batches {
+					res, err := run(batch)
+					if err != nil {
+						t.Fatalf("run %d: %v", i, err)
+					}
+					for _, a := range analyzers {
+						if _, ok := res.Spent[a.Name]; !ok {
+							t.Fatalf("run %d: no timing recorded for %s", i, a.Name)
+						}
+					}
+					if len(res.Phases) != 3 {
+						t.Fatalf("run %d: reported %d phases, want 3 (load/ir/analyze)", i, len(res.Phases))
+					}
+					diags = append(diags, res.Diags...)
 				}
 				if len(diags) == 0 {
 					t.Fatalf("run %d: fixture packages produced no findings", i)
 				}
-				for _, a := range analyzers {
-					if _, ok := spent[a.Name]; !ok {
-						t.Fatalf("run %d: no timing recorded for %s", i, a.Name)
-					}
-				}
-				if ipa == "module" && len(phases) != 4 {
-					t.Fatalf("run %d: module mode reported %d phases, want 4 (load/ir/analyze/link)", i, len(phases))
-				}
-				if ipa == "pkg" && phases != nil {
-					t.Fatalf("run %d: pkg mode reported phases %v", i, phases)
-				}
+				lint.SortDiagnostics(diags)
+				var err error
 				text[i] = renderText(diags)
 				if jsonOut[i], err = renderJSON(diags); err != nil {
 					t.Fatalf("run %d: render json: %v", i, err)
@@ -62,6 +75,7 @@ func TestDriverOutputDeterministic(t *testing.T) {
 			if sarif[0] != sarif[1] {
 				t.Errorf("sarif output differs between runs")
 			}
+			texts = append(texts, text[0])
 
 			// Spot-check the sort contract on the text form: lines must be
 			// ordered by (file, numeric line, numeric column) — plain string
@@ -77,85 +91,9 @@ func TestDriverOutputDeterministic(t *testing.T) {
 			}
 		})
 	}
-}
-
-func TestSelectAnalyzers(t *testing.T) {
-	all := lint.All()
-
-	got, err := selectAnalyzers("", "", "pkg")
-	if err != nil || len(got) != len(all) {
-		t.Fatalf("default selection: got %d analyzers, err %v; want all %d", len(got), err, len(all))
+	if len(texts) == 2 && texts[0] != texts[1] {
+		t.Errorf("per-package and linked runs disagree:\n--- pkg\n%s\n--- module\n%s", texts[0], texts[1])
 	}
-
-	got, err = selectAnalyzers("", "", "module")
-	if err != nil || len(got) != len(lint.AllModule()) {
-		t.Fatalf("module selection: got %d analyzers, err %v; want all %d", len(got), err, len(lint.AllModule()))
-	}
-
-	got, err = selectAnalyzers("goleak,ctxprop", "", "pkg")
-	if err != nil {
-		t.Fatalf("-only: %v", err)
-	}
-	if len(got) != 2 || got[0].Name != "goleak" || got[1].Name != "ctxprop" {
-		t.Fatalf("-only goleak,ctxprop: got %v", names(got))
-	}
-
-	got, err = selectAnalyzers("", "goleak,lockorder,hotalloc,ctxprop", "pkg")
-	if err != nil {
-		t.Fatalf("-skip: %v", err)
-	}
-	if len(got) != len(all)-4 {
-		t.Fatalf("-skip four: got %v", names(got))
-	}
-	for _, a := range got {
-		switch a.Name {
-		case "goleak", "lockorder", "hotalloc", "ctxprop":
-			t.Fatalf("-skip left %s selected", a.Name)
-		}
-	}
-
-	if _, err := selectAnalyzers("nosuch", "", "pkg"); err == nil {
-		t.Fatal("-only with unknown analyzer must error")
-	}
-	if _, err := selectAnalyzers("", "nosuch", "pkg"); err == nil {
-		t.Fatal("-skip with unknown analyzer must error")
-	}
-	if _, err := selectAnalyzers("goleak", "goleak", "pkg"); err == nil {
-		t.Fatal("empty selection must error")
-	}
-}
-
-// TestSelectAnalyzersDiagnostics pins the error texts the driver relies on:
-// a near-miss suggests the intended name, and asking for a module-scope
-// analyzer under -ipa=pkg explains the scope requirement instead of calling
-// the name unknown.
-func TestSelectAnalyzersDiagnostics(t *testing.T) {
-	_, err := selectAnalyzers("shapeflw", "", "module")
-	if err == nil || !strings.Contains(err.Error(), `did you mean "shapeflow"`) {
-		t.Fatalf("typo suggestion missing: %v", err)
-	}
-
-	_, err = selectAnalyzers("shapeflow", "", "pkg")
-	if err == nil || !strings.Contains(err.Error(), "requires -ipa=module") {
-		t.Fatalf("module-only hint missing: %v", err)
-	}
-
-	if got, err := selectAnalyzers("shapeflow", "", "module"); err != nil || len(got) != 1 || got[0].Name != "shapeflow" {
-		t.Fatalf("-only shapeflow under module scope: got %v, err %v", names(got), err)
-	}
-
-	_, err = selectAnalyzers("zzzzzzzz", "", "pkg")
-	if err == nil || strings.Contains(err.Error(), "did you mean") {
-		t.Fatalf("distant typo must not get a suggestion: %v", err)
-	}
-}
-
-func names(as []*lint.Analyzer) []string {
-	out := make([]string, len(as))
-	for i, a := range as {
-		out[i] = a.Name
-	}
-	return out
 }
 
 // positionLess orders rendered "file:line:col: message" lines the way the

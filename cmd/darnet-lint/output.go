@@ -137,16 +137,13 @@ func renderSARIF(diags []lint.Diagnostic, analyzers []*lint.Analyzer) (string, e
 	return string(data) + "\n", nil
 }
 
-// renderTimings reports aggregated per-analyzer wall time in the registry's
-// analyzer order, preceded by the pipeline phase times when the module
-// analysis supplied them.
+// renderTimings reports the pipeline phase times, then aggregated
+// per-analyzer wall time in the registry's analyzer order.
 func renderTimings(analyzers []*lint.Analyzer, spent map[string]int64, phases []lint.Timing) string {
 	var b strings.Builder
-	if len(phases) > 0 {
-		b.WriteString("phase timings:\n")
-		for _, p := range phases {
-			b.WriteString(fmt.Sprintf("  %-12s %v\n", p.Analyzer, p.Elapsed.Round(10*time.Microsecond)))
-		}
+	b.WriteString("phase timings:\n")
+	for _, p := range phases {
+		b.WriteString(fmt.Sprintf("  %-12s %v\n", p.Analyzer, p.Elapsed.Round(10*time.Microsecond)))
 	}
 	b.WriteString("analyzer timings (wall time summed across packages):\n")
 	for _, a := range analyzers {

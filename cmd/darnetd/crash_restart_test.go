@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"darnet/internal/durable"
 	"darnet/internal/telemetry"
+	"darnet/internal/tsdb"
 	"darnet/internal/wire"
 )
 
@@ -77,10 +79,34 @@ func storedPoints(t *testing.T, out, series string) int {
 	return n
 }
 
+// crashUncommittedFrame opens the data directory the way darnetd does, logs
+// one camera frame whose batch never commits, syncs it to disk, and
+// abandons the manager without its shutdown checkpoint: a crash between the
+// frame append and the batch's commit mark.
+func crashUncommittedFrame(t *testing.T, dir string) {
+	t.Helper()
+	fs, err := durable.NewDirFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := durable.Open(tsdb.New(), durable.Options{FS: fs, Policy: durable.PolicyAlways, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := man.AppendFrame("car-1", 25, []float64{0.5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := man.Sync(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestControllerRestartRecoversSessions is the darnetd-level restart check:
-// generation 1 stores batches under -data-dir and checkpoints on shutdown;
-// generation 2 recovers the sessions, dedupes retransmitted pre-restart
-// batches, and reports durability state in its shutdown summary.
+// generation 1 stores batches under -data-dir and checkpoints on shutdown; a
+// crash then leaves an uncommitted frame in the log; generation 2 recovers
+// the sessions, reports the discarded frame on its recovery line, dedupes
+// retransmitted pre-restart batches, and reports durability state in its
+// shutdown summary.
 func TestControllerRestartRecoversSessions(t *testing.T) {
 	dir := t.TempDir()
 
@@ -100,6 +126,8 @@ func TestControllerRestartRecoversSessions(t *testing.T) {
 		t.Fatalf("generation 1 stored %d points, want 2", got)
 	}
 
+	crashUncommittedFrame(t, dir)
+
 	out2 := runDurableController(t, dir, func(addr string) {
 		c := dialObsClient(t, addr, "car-1")
 		// Client sequence numbers restart at 1: both sends retransmit
@@ -111,6 +139,9 @@ func TestControllerRestartRecoversSessions(t *testing.T) {
 	})
 	if !strings.Contains(out2, "recovery: sessions=1") {
 		t.Fatalf("generation 2 did not recover the session:\n%s", out2)
+	}
+	if !strings.Contains(out2, " discarded=0 discarded_frames=1 ") {
+		t.Fatalf("generation 2's recovery line must report the uncommitted frame:\n%s", out2)
 	}
 	sum2 := parseShutdownSummary(t, out2)
 	if sum2.Agents != 1 {

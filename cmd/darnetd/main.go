@@ -209,8 +209,8 @@ func setupDurability(db *tsdb.DB, o durOptions, out io.Writer) (*durable.Manager
 		return nil, nil, fmt.Errorf("durability: %w", err)
 	}
 	statusf(out, "durability on (data-dir %s, fsync %s, checkpoint every %v)\n", o.dataDir, policy, o.ckptEvery)
-	statusf(out, "recovery: sessions=%d series=%d frames=%d replayed=%d discarded=%d torn=%dB lost=%dB degraded=%v\n",
-		len(rec.Sessions), rec.SeriesLoaded, rec.FramesLoaded+rec.ReplayedFrames, rec.ReplayedInserts, rec.DiscardedInserts, rec.TornBytes, rec.LostBytes, rec.Degraded)
+	statusf(out, "recovery: sessions=%d series=%d frames=%d replayed=%d discarded=%d discarded_frames=%d torn=%dB lost=%dB degraded=%v\n",
+		len(rec.Sessions), rec.SeriesLoaded, rec.FramesLoaded+rec.ReplayedFrames, rec.ReplayedInserts, rec.DiscardedInserts, rec.DiscardedFrames, rec.TornBytes, rec.LostBytes, rec.Degraded)
 	if rec.Note != "" {
 		statusf(out, "recovery: %s\n", rec.Note)
 	}

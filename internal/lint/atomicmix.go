@@ -15,12 +15,13 @@ import (
 // the mix is visible in every build. The atomic.Int64-style wrapper types
 // are inert here — the type system already forbids plain access to them.
 //
-// Identities are position-independent (`pkgpath.Type.field`, `pkgpath.var`)
-// and travel through the module summary channel, so a package that plainly
-// reads a counter another package manages with atomic.AddInt64 is a finding
-// even though neither package alone shows the mix. Suppress a deliberate
-// mix (e.g. a read under a lock that orders it) with
-// `//lint:ignore atomicmix <reason>`.
+// Identities are type-level (`pkgpath.Type.field`, `pkgpath.var`), and a
+// package's accesses are checked against those of every package it
+// imports, so a package that plainly reads a counter another package
+// manages with atomic.AddInt64 is a finding even though neither package
+// alone shows the mix. Suppress a deliberate mix (e.g. a read under a lock
+// that orders it) with `//lint:ignore atomicmix <reason>`; at the access
+// itself the directive also holds for importing packages.
 var Atomicmix = &Analyzer{
 	Name: "atomicmix",
 	Doc:  "fields and package vars must not mix sync/atomic access with plain reads/writes anywhere in the module",
@@ -37,18 +38,16 @@ const (
 
 // atomicAccess is one recorded access to a trackable identity.
 type atomicAccess struct {
-	id       string
-	pos      token.Pos
-	kind     accessKind
-	write    bool
-	exported bool // identity reachable from other packages
-	node     *FuncNode
+	id    string
+	pos   token.Pos
+	kind  accessKind
+	write bool
 }
 
-// atomicCensus is the package-wide access census, built once per IPA and
-// shared by the analyzer and ExportSummaries.
+// atomicCensus is every analyzed package's accesses in position order,
+// built once per IPA.
 type atomicCensus struct {
-	accesses []atomicAccess
+	byPkg map[*Package][]atomicAccess
 }
 
 func (ipa *IPA) atomicCensus() *atomicCensus {
@@ -59,23 +58,22 @@ func (ipa *IPA) atomicCensus() *atomicCensus {
 }
 
 func buildAtomicCensus(ipa *IPA) *atomicCensus {
-	c := &atomicCensus{}
-	for _, n := range ipa.Graph.Nodes {
-		if n.Body == nil {
-			continue
+	c := &atomicCensus{byPkg: make(map[*Package][]atomicAccess)}
+	for _, pkg := range ipa.pkgs {
+		w := &censusWalker{info: pkg.Info}
+		for _, n := range ipa.Graph.NodesOf(pkg) {
+			w.collectWrites(n.Body)
+			w.walk(n.Body, false)
 		}
-		w := &censusWalker{info: ipa.Pkg.Info, node: n, out: c}
-		w.collectWrites(n.Body)
-		w.walk(n.Body, false)
+		sort.Slice(w.out, func(i, j int) bool { return w.out[i].pos < w.out[j].pos })
+		c.byPkg[pkg] = w.out
 	}
-	sort.Slice(c.accesses, func(i, j int) bool { return c.accesses[i].pos < c.accesses[j].pos })
 	return c
 }
 
 type censusWalker struct {
 	info   *types.Info
-	node   *FuncNode
-	out    *atomicCensus
+	out    []atomicAccess
 	writes map[ast.Expr]bool // exprs in write position (assign LHS, ++/--)
 	exempt map[ast.Expr]bool // &-targets of sync/atomic calls
 }
@@ -96,14 +94,12 @@ func (w *censusWalker) collectWrites(body ast.Node) {
 				if u, ok := ast.Unparen(x.Args[0]).(*ast.UnaryExpr); ok && u.Op == token.AND {
 					target := ast.Unparen(u.X)
 					w.exempt[target] = true
-					if id, exported := w.identityOf(target); id != "" {
-						w.out.accesses = append(w.out.accesses, atomicAccess{
-							id:       id,
-							pos:      target.Pos(),
-							kind:     accessAtomic,
-							write:    atomicFuncWrites(fn.Name()),
-							exported: exported,
-							node:     w.node,
+					if id := w.identityOf(target); id != "" {
+						w.out = append(w.out, atomicAccess{
+							id:    id,
+							pos:   target.Pos(),
+							kind:  accessAtomic,
+							write: atomicFuncWrites(fn.Name()),
 						})
 					}
 				}
@@ -135,14 +131,12 @@ func (w *censusWalker) walk(n ast.Node, inComposite bool) {
 	case *ast.SelectorExpr, *ast.Ident:
 		e := x.(ast.Expr)
 		if !inComposite && !w.exempt[e] {
-			if id, exported := w.identityOf(e); id != "" {
-				w.out.accesses = append(w.out.accesses, atomicAccess{
-					id:       id,
-					pos:      e.Pos(),
-					kind:     accessPlain,
-					write:    w.writes[e],
-					exported: exported,
-					node:     w.node,
+			if id := w.identityOf(e); id != "" {
+				w.out = append(w.out, atomicAccess{
+					id:    id,
+					pos:   e.Pos(),
+					kind:  accessPlain,
+					write: w.writes[e],
 				})
 			}
 		}
@@ -166,21 +160,20 @@ func (w *censusWalker) walk(n ast.Node, inComposite bool) {
 // field or package-level variable whose type sync/atomic can operate on
 // (sized integers, uintptr, unsafe.Pointer). Everything else — locals,
 // wrapper-typed fields, plain ints — returns "".
-func (w *censusWalker) identityOf(e ast.Expr) (string, bool) {
+func (w *censusWalker) identityOf(e ast.Expr) string {
 	switch x := ast.Unparen(e).(type) {
 	case *ast.SelectorExpr:
 		sel, ok := w.info.Selections[x]
 		if ok && sel.Kind() == types.FieldVal {
 			field, _ := sel.Obj().(*types.Var)
 			if field == nil || !atomicCapable(field.Type()) {
-				return "", false
+				return ""
 			}
 			named := namedOf(sel.Recv())
 			if named == nil || named.Obj().Pkg() == nil {
-				return "", false
+				return ""
 			}
-			id := named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field.Name()
-			return id, named.Obj().Exported() && field.Exported()
+			return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + field.Name()
 		}
 		// Package-qualified var: pkg.V.
 		if v, ok := w.info.Uses[x.Sel].(*types.Var); ok {
@@ -191,14 +184,14 @@ func (w *censusWalker) identityOf(e ast.Expr) (string, bool) {
 			return packageVarIdentity(v)
 		}
 	}
-	return "", false
+	return ""
 }
 
-func packageVarIdentity(v *types.Var) (string, bool) {
+func packageVarIdentity(v *types.Var) string {
 	if v.IsField() || v.Pkg() == nil || v.Parent() != v.Pkg().Scope() || !atomicCapable(v.Type()) {
-		return "", false
+		return ""
 	}
-	return v.Pkg().Path() + "." + v.Name(), v.Exported()
+	return v.Pkg().Path() + "." + v.Name()
 }
 
 func namedOf(t types.Type) *types.Named {
@@ -225,35 +218,38 @@ func atomicCapable(t types.Type) bool {
 }
 
 func runAtomicmix(pass *Pass) {
-	ipa := pass.IPA()
-	census := ipa.atomicCensus()
+	census := pass.IPA().atomicCensus()
+	local := census.byPkg[pass.pkg]
 
-	// Module-wide view of each identity's two sides: local accesses plus
-	// the linked summaries' exported refs.
+	// Each local identity's two sides: local atomic accesses, then those of
+	// the imported packages, minus accesses a //lint:ignore atomicmix
+	// justifies where they happen.
+	ids := map[string]bool{}
 	atomicAt := map[string]string{} // identity -> first atomic-access loc
-	plainAt := map[string]string{}  // identity -> first remote plain-access loc
-	for _, a := range census.accesses {
-		if a.kind == accessAtomic {
-			if _, ok := atomicAt[a.id]; !ok {
-				atomicAt[a.id] = shortLoc(ipa.Pkg.Fset, a.pos)
-			}
+	plainAt := map[string]string{}  // identity -> first imported plain-access loc
+	for _, a := range local {
+		ids[a.id] = true
+		if _, ok := atomicAt[a.id]; !ok && a.kind == accessAtomic {
+			atomicAt[a.id] = shortLoc(pass.Fset, a.pos)
 		}
 	}
-	for _, fs := range ipa.Pkg.deps.All() {
-		for _, ref := range fs.AtomicRefs {
-			if _, ok := atomicAt[ref.ID]; !ok {
-				atomicAt[ref.ID] = ref.Loc
+	for _, q := range pass.IPA().deps[pass.pkg] {
+		for _, a := range census.byPkg[q] {
+			if !ids[a.id] || q.justified(a.pos, "atomicmix") {
+				continue
 			}
-		}
-		for _, ref := range fs.PlainRefs {
-			if _, ok := plainAt[ref.ID]; !ok {
-				plainAt[ref.ID] = ref.Loc
+			side := atomicAt
+			if a.kind == accessPlain {
+				side = plainAt
+			}
+			if _, ok := side[a.id]; !ok {
+				side[a.id] = shortLoc(q.Fset, a.pos)
 			}
 		}
 	}
 
 	seen := map[token.Pos]bool{}
-	for _, a := range census.accesses {
+	for _, a := range local {
 		if seen[a.pos] {
 			continue
 		}

@@ -5,26 +5,30 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path"
 )
 
-// This file builds the package-level call graph the interprocedural
-// analyzers (goleak, lockorder, hotalloc, ctxprop) share. Nodes are the
-// package's declared functions, methods, and function literals; edges are
-// call sites, classified by how the callee runs (plain call, defer, or a
-// conservative "referenced as a value" edge for closures that escape into
-// variables or arguments). `go` statements are recorded separately as spawn
-// sites, because a spawned goroutine's blocking does not block its spawner.
+// This file builds the call graph the whole-program analyzers share. One
+// graph spans every analyzed package: nodes are the declared functions,
+// methods, and function literals; edges are call sites, classified by how
+// the callee runs (plain call, defer, or a conservative "referenced as a
+// value" edge for closures that escape into variables or arguments). `go`
+// statements are recorded separately as spawn sites, because a spawned
+// goroutine's blocking does not block its spawner.
 //
 // Resolution is conservative in the direction that keeps the analyzers
-// sound-for-this-package:
+// sound for the analyzed set:
 //
 //   - Static calls resolve through go/types to the callee's node when the
-//     callee is declared in the package.
+//     callee is declared in any analyzed package. The loader type-checks
+//     each package against its dependencies' source-loaded objects, so a
+//     cross-package callee is the same *types.Func in both packages.
 //   - Method calls through an interface resolve to every method declared in
-//     this package with the same name whose receiver implements the
+//     the caller's package with the same name whose receiver implements the
 //     interface (the classic class-hierarchy-analysis over-approximation).
-//   - Calls through plain function values are left unresolved; summaries
-//     treat unknown callees as neutral rather than inventing facts.
+//   - Calls through plain function values, and calls into packages outside
+//     the analyzed set, are left unresolved; summaries treat unknown
+//     callees as neutral rather than inventing facts.
 
 // edgeKind classifies how a call edge transfers control.
 type edgeKind int
@@ -45,22 +49,20 @@ type CallSite struct {
 	ViaInterface bool
 }
 
-// GoSite is one `go` statement. Targets lists the local functions the spawned
+// GoSite is one `go` statement. Targets lists the functions the spawned
 // goroutine may enter (the literal's node, or the conservatively resolved
 // callees); it is empty when the spawned callee is unknown (dynamic call or
-// external function). External carries the serialized summaries of in-module
-// callees from other packages, resolved through the module index when the
-// analysis runs at module scope.
+// a function outside the analyzed set).
 type GoSite struct {
-	Pos      token.Pos
-	Targets  []*FuncNode
-	External []*FuncSummary
+	Pos     token.Pos
+	Targets []*FuncNode
 }
 
 // FuncNode is one function in the call graph: a declared function or method
 // (Decl != nil) or a function literal (Lit != nil).
 type FuncNode struct {
-	Name string      // qualified display name, e.g. "(*Runner).loop" or "func literal runner.go:46"
+	Name string      // display name, e.g. "(*Runner).loop" or "func literal runner.go:46"
+	Pkg  *Package    // the package that declares it
 	Fn   *types.Func // nil for literals
 	Decl *ast.FuncDecl
 	Lit  *ast.FuncLit
@@ -107,52 +109,67 @@ func cutCommentMarker(text string) (string, bool) {
 	return "", false
 }
 
-// CallGraph holds the package's function nodes in deterministic source
-// order, with lookup from the type-checker's function objects.
+// CallGraph holds the function nodes of every analyzed package, with lookup
+// from the type-checker's function objects.
 type CallGraph struct {
-	pkg   *Package
-	Nodes []*FuncNode // declaration order across files, literals after their encloser
+	// byPkg lists each package's nodes in deterministic source order:
+	// declarations across files, then literals in the order walked.
+	byPkg map[*Package][]*FuncNode
 	byFn  map[*types.Func]*FuncNode
 	byLit map[*ast.FuncLit]*FuncNode
 
-	// methods indexes declared methods by name for conservative interface
-	// resolution.
-	methods map[string][]*FuncNode
+	// methods indexes each package's declared methods by name for
+	// conservative interface resolution within the caller's package.
+	methods map[methodKey][]*FuncNode
 }
 
-// NodeFor returns the node of a declared function, or nil.
-func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode { return g.byFn[fn] }
+type methodKey struct {
+	pkg  *Package
+	name string
+}
 
-func buildCallGraph(pkg *Package) *CallGraph {
+// NodeFor returns the node of a declared function, or nil when it is
+// declared outside the analyzed set.
+func (g *CallGraph) NodeFor(fn *types.Func) *FuncNode { return g.byFn[fn.Origin()] }
+
+// NodesOf returns one package's nodes.
+func (g *CallGraph) NodesOf(pkg *Package) []*FuncNode { return g.byPkg[pkg] }
+
+func buildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
-		pkg:     pkg,
+		byPkg:   make(map[*Package][]*FuncNode),
 		byFn:    make(map[*types.Func]*FuncNode),
 		byLit:   make(map[*ast.FuncLit]*FuncNode),
-		methods: make(map[string][]*FuncNode),
+		methods: make(map[methodKey][]*FuncNode),
 	}
-	// First pass: create nodes for every declared function so edges can
-	// resolve forward references.
-	for _, f := range pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			n := &FuncNode{Name: funcDisplayName(fn), Fn: fn, Decl: fd, Body: fd.Body}
-			g.Nodes = append(g.Nodes, n)
-			g.byFn[fn] = n
-			if fn.Type().(*types.Signature).Recv() != nil {
-				g.methods[fn.Name()] = append(g.methods[fn.Name()], n)
+	// First pass: create nodes for every declared function of every
+	// package so edges can resolve forward and cross-package references.
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				n := &FuncNode{Name: funcDisplayName(fn), Pkg: pkg, Fn: fn, Decl: fd, Body: fd.Body}
+				g.byPkg[pkg] = append(g.byPkg[pkg], n)
+				g.byFn[fn] = n
+				if fn.Type().(*types.Signature).Recv() != nil {
+					key := methodKey{pkg, fn.Name()}
+					g.methods[key] = append(g.methods[key], n)
+				}
 			}
 		}
 	}
 	// Second pass: walk bodies, creating literal nodes and edges.
-	for _, n := range append([]*FuncNode(nil), g.Nodes...) {
-		g.walkBody(n)
+	for _, pkg := range pkgs {
+		for _, n := range append([]*FuncNode(nil), g.byPkg[pkg]...) {
+			g.walkBody(n)
+		}
 	}
 	return g
 }
@@ -203,13 +220,14 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 // litNode creates (and registers) the node for a function literal nested in
 // parent, then walks its body.
 func (g *CallGraph) litNode(parent *FuncNode, lit *ast.FuncLit) *FuncNode {
-	pos := g.pkg.Fset.Position(lit.Pos())
+	pos := parent.Pkg.Fset.Position(lit.Pos())
 	child := &FuncNode{
 		Name: fmt.Sprintf("func literal %s:%d", shortPath(pos.Filename), pos.Line),
+		Pkg:  parent.Pkg,
 		Lit:  lit,
 		Body: lit.Body,
 	}
-	g.Nodes = append(g.Nodes, child)
+	g.byPkg[parent.Pkg] = append(g.byPkg[parent.Pkg], child)
 	g.byLit[lit] = child
 	g.walkBody(child)
 	return child
@@ -221,30 +239,25 @@ func (g *CallGraph) addGoSite(n *FuncNode, s *ast.GoStmt) {
 	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
 		site.Targets = []*FuncNode{g.litNode(n, lit)}
 	} else {
-		targets, _ := g.resolve(s.Call)
-		site.Targets = targets
-		if len(targets) == 0 && g.pkg.deps != nil {
-			if fs := g.pkg.deps.Lookup(calleeFunc(g.pkg.Info, s.Call)); fs != nil {
-				site.External = append(site.External, fs)
-			}
-		}
+		site.Targets, _ = g.resolve(n, s.Call)
 	}
 	n.GoSites = append(n.GoSites, site)
 }
 
 // addCallEdges resolves call and records edges on caller.
 func (g *CallGraph) addCallEdges(caller *FuncNode, call *ast.CallExpr, kind edgeKind) {
-	targets, viaIface := g.resolve(call)
+	targets, viaIface := g.resolve(caller, call)
 	for _, t := range targets {
 		caller.Calls = append(caller.Calls, CallSite{Callee: t, Pos: call.Pos(), Kind: kind, ViaInterface: viaIface})
 	}
 }
 
-// resolve returns the package-local functions a call may invoke. Interface
-// method calls resolve to every declared method implementing the interface;
-// viaIface reports when that over-approximation was used.
-func (g *CallGraph) resolve(call *ast.CallExpr) (targets []*FuncNode, viaIface bool) {
-	fn := calleeFunc(g.pkg.Info, call)
+// resolve returns the analyzed functions a call in caller may invoke.
+// Interface method calls resolve to every method declared in the caller's
+// package that implements the interface; viaIface reports when that
+// over-approximation was used.
+func (g *CallGraph) resolve(caller *FuncNode, call *ast.CallExpr) (targets []*FuncNode, viaIface bool) {
+	fn := calleeFunc(caller.Pkg.Info, call)
 	if fn == nil {
 		return nil, false
 	}
@@ -257,7 +270,7 @@ func (g *CallGraph) resolve(call *ast.CallExpr) (targets []*FuncNode, viaIface b
 		if !ok {
 			return nil, false
 		}
-		for _, m := range g.methods[fn.Name()] {
+		for _, m := range g.methods[methodKey{caller.Pkg, fn.Name()}] {
 			mrecv := m.Fn.Type().(*types.Signature).Recv().Type()
 			if types.Implements(mrecv, iface) || types.Implements(types.NewPointer(mrecv), iface) {
 				targets = append(targets, m)
@@ -265,7 +278,7 @@ func (g *CallGraph) resolve(call *ast.CallExpr) (targets []*FuncNode, viaIface b
 		}
 		return targets, true
 	}
-	if n := g.byFn[fn]; n != nil {
+	if n := g.NodeFor(fn); n != nil {
 		return []*FuncNode{n}, false
 	}
 	return nil, false
@@ -279,6 +292,15 @@ func funcDisplayName(fn *types.Func) string {
 		return fmt.Sprintf("(%s).%s", types.TypeString(recv.Type(), func(*types.Package) string { return "" }), fn.Name())
 	}
 	return fn.Name()
+}
+
+// shortFuncName names a function for messages read outside its package:
+// "wire.(*Conn).Send".
+func shortFuncName(fn *types.Func) string {
+	if fn.Pkg() == nil {
+		return fn.Name()
+	}
+	return path.Base(fn.Pkg().Path()) + "." + funcDisplayName(fn)
 }
 
 // shortPath trims a filename to its base for display names.

@@ -16,9 +16,9 @@ import (
 // buy precision these lattices cannot represent anyway.
 //
 // The graph is built once per function and memoized on the IPA (see
-// IPA.FlowGraph), so analyzers and summary export share one construction,
-// and AnalyzeModule can force it eagerly to account IR construction as its
-// own -timings phase.
+// IPA.FlowGraph), so analyzers share one construction, and AnalyzeModule
+// can force it eagerly to account IR construction as its own -timings
+// phase.
 
 // Block is one basic block: statements and evaluated conditions in source
 // order, ending in zero or more successor edges. A block with no successors
@@ -538,25 +538,11 @@ func isPackageLevel(v *types.Var) bool {
 // FlowGraph returns the memoized control-flow graph of one function node,
 // building it on first use. Analyzers reach it through Pass.IPA().
 func (ipa *IPA) FlowGraph(n *FuncNode) *FlowGraph {
-	if ipa.flows == nil {
-		ipa.flows = make(map[*FuncNode]*FlowGraph)
-	}
 	if fg, ok := ipa.flows[n]; ok {
 		return fg
 	}
 	fg := BuildCFG(n.Body)
-	buildDefUse(fg, ipa.Pkg.Info)
+	buildDefUse(fg, n.Pkg.Info)
 	ipa.flows[n] = fg
 	return fg
-}
-
-// BuildIR forces the flow-sensitive IR for every function in the package:
-// the call graph and fixpoint summaries (if not already built) plus one
-// control-flow graph per function. AnalyzeModule calls it between load and
-// the analyzer runs so -timings reports IR construction as its own phase.
-func (p *Package) BuildIR() {
-	ipa := p.ipa()
-	for _, n := range ipa.Graph.Nodes {
-		ipa.FlowGraph(n)
-	}
 }

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -26,10 +25,10 @@ import (
 //     refinement of goleak's callee-side spawn model.
 //
 // Close effects cross function boundaries: a callee that provably closes a
-// channel parameter exports that fact in its FuncSummary (ChanOps), so a
+// channel parameter carries that fact in its effect summary, so a
 // `close(ch)` after `otherpkg.Shutdown(ch)` is a finding even though the
 // two closes live in different packages. The analyzer is registered at
-// module scope, where those summaries link.
+// module scope (registry AllModule).
 var Chanlife = &Analyzer{
 	Name: "chanlife",
 	Doc:  "channel lifecycle states (nil/open/closed) propagated flow-sensitively must not reach close-of-closed, send-after-close, or orphaned sends",
@@ -38,12 +37,10 @@ var Chanlife = &Analyzer{
 
 func runChanlife(pass *Pass) {
 	eng := pass.IPA().chanEngine()
-	for _, n := range eng.ipa.Graph.Nodes {
+	for _, n := range pass.Nodes() {
 		eng.analyze(n)
 	}
-	for _, f := range eng.findings {
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
+	eng.report(pass)
 }
 
 // Channel abstract state bits: the set of runtime states the channel value
@@ -159,25 +156,15 @@ type paramChanEffect struct {
 	mustClose bool
 	mayClose  bool
 	maySend   bool
-	pos       token.Pos
 }
 
-// chanFinding buffers one diagnostic; the engine dedups by value because
-// the same site can be checked along several evaluation orders.
-type chanFinding struct {
-	pos token.Pos
-	msg string
-}
-
-// chanEngine owns the per-package chanlife state, mirroring shapeEngine: it
-// is built lazily on the IPA so ExportSummaries can derive channel-effect
-// summaries even when the Chanlife analyzer is not in the running set.
+// chanEngine owns the chanlife state, mirroring shapeEngine: memoized
+// effect summaries per function node and the deduplicated findings buffer.
 type chanEngine struct {
-	ipa      *IPA
-	effects  map[*FuncNode]*chanEffects
-	state    map[*FuncNode]int // 0 unvisited, 1 in progress, 2 done
-	findings []chanFinding
-	seen     map[chanFinding]bool
+	findingSet
+	ipa     *IPA
+	effects map[*FuncNode]*chanEffects
+	state   map[*FuncNode]int // 0 unvisited, 1 in progress, 2 done
 }
 
 func (ipa *IPA) chanEngine() *chanEngine {
@@ -186,19 +173,9 @@ func (ipa *IPA) chanEngine() *chanEngine {
 			ipa:     ipa,
 			effects: make(map[*FuncNode]*chanEffects),
 			state:   make(map[*FuncNode]int),
-			seen:    make(map[chanFinding]bool),
 		}
 	}
 	return ipa.chans
-}
-
-func (e *chanEngine) reportf(pos token.Pos, format string, args ...any) {
-	f := chanFinding{pos: pos, msg: fmt.Sprintf(format, args...)}
-	if e.seen[f] {
-		return
-	}
-	e.seen[f] = true
-	e.findings = append(e.findings, f)
 }
 
 // effectsFor returns a declared function's channel-effect summary,
@@ -248,8 +225,8 @@ func newChanWalker(e *chanEngine, n *FuncNode) *chanWalker {
 		eng:        e,
 		node:       n,
 		fg:         e.ipa.FlowGraph(n),
-		info:       e.ipa.Pkg.Info,
-		fset:       e.ipa.Pkg.Fset,
+		info:       n.Pkg.Info,
+		fset:       n.Pkg.Fset,
 		tracked:    make(map[*types.Var]bool),
 		selectComm: make(map[ast.Node]bool),
 	}
@@ -655,9 +632,9 @@ func (w *chanWalker) evalCall(env chanEnv, call *ast.CallExpr) {
 	}
 }
 
-// calleeEffects resolves a callee's channel-parameter effects: same-package
-// functions through the engine (computed on demand), cross-package ones
-// through the serialized module index. nil means unknown — widen.
+// calleeEffects resolves a callee's channel-parameter effects through the
+// engine (computed on demand, in whichever analyzed package declares it).
+// nil means unknown — widen.
 func (w *chanWalker) calleeEffects(fn *types.Func) *chanEffects {
 	if fn == nil {
 		return nil
@@ -665,45 +642,21 @@ func (w *chanWalker) calleeEffects(fn *types.Func) *chanEffects {
 	if node := w.eng.ipa.Graph.NodeFor(fn); node != nil {
 		return w.eng.effectsFor(node)
 	}
-	if fs := w.eng.ipa.Pkg.deps.Lookup(fn); fs != nil {
-		return decodeChanOps(fs.ChanOps)
-	}
-	if fn.Pkg() != nil && fn.Pkg().Path() == w.eng.ipa.Pkg.Path {
+	if fn.Pkg() != nil && fn.Pkg().Path() == w.node.Pkg.Path {
 		return nil
 	}
-	// External to the analyzed set (stdlib, export-data deps): assume no
+	// Outside the analyzed set (stdlib, export-data deps): assume no
 	// close/send effects on channel args — stdlib APIs do not close caller
 	// channels (closing is the sender's job, and these analyses would
 	// otherwise go dark at every time.After or append call).
 	return &chanEffects{params: map[int]*paramChanEffect{}}
 }
 
-func decodeChanOps(ops []ChanOpRef) *chanEffects {
-	eff := &chanEffects{params: make(map[int]*paramChanEffect)}
-	for _, op := range ops {
-		p := eff.params[op.Param]
-		if p == nil {
-			p = &paramChanEffect{}
-			eff.params[op.Param] = p
-		}
-		switch op.Op {
-		case "mustclose":
-			p.mustClose = true
-			p.mayClose = true
-		case "mayclose":
-			p.mayClose = true
-		case "maysend":
-			p.maySend = true
-		}
-	}
-	return eff
-}
-
 func calleeName(fn *types.Func) string {
 	if fn == nil {
 		return "the callee"
 	}
-	return shortFuncKey(FuncKey(fn))
+	return shortFuncName(fn)
 }
 
 // widenIdentsIn drops every tracked variable referenced inside e to
@@ -721,7 +674,7 @@ func (w *chanWalker) widenIdentsIn(env chanEnv, e ast.Node) {
 
 func (w *chanWalker) reportOnce(pos token.Pos, format string, args ...any) {
 	if w.reporting {
-		w.eng.reportf(pos, format, args...)
+		w.eng.add(w.node.Pkg, pos, format, args...)
 	}
 }
 
@@ -862,7 +815,7 @@ func (w *chanWalker) nilComparison(x *ast.BinaryExpr) (*types.Var, ast.Expr) {
 	return nil, nil
 }
 
-// summarizeEffects derives the exported channel-parameter effects from the
+// summarizeEffects derives the channel-parameter effects from the
 // exit-state of the analysis: mustClose when every modeled path closed the
 // parameter, mayClose when some did (or a close is deferred), maySend from
 // a syntactic scan (select sends count — they may fire).
@@ -884,16 +837,12 @@ func (w *chanWalker) summarizeEffects() *chanEffects {
 			st := w.get(exit, p)
 			pe.mustClose = st.mustClosed || st.deferClose
 			pe.mayClose = st.mayClosed || st.deferClose
-			pe.pos = st.closedAt
 		}
 		ast.Inspect(w.node.Body, func(node ast.Node) bool {
 			if s, ok := node.(*ast.SendStmt); ok {
 				if id, ok := ast.Unparen(s.Chan).(*ast.Ident); ok {
 					if v, _ := w.info.Uses[id].(*types.Var); v == p {
 						pe.maySend = true
-						if !pe.pos.IsValid() {
-							pe.pos = s.Arrow
-						}
 					}
 				}
 			}

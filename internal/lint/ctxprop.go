@@ -24,8 +24,7 @@ var Ctxprop = &Analyzer{
 }
 
 func runCtxprop(pass *Pass) {
-	ipa := pass.IPA()
-	for _, n := range ipa.Graph.Nodes {
+	for _, n := range pass.Nodes() {
 		if n.Decl == nil {
 			continue // literals capture their encloser's context
 		}

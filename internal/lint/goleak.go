@@ -22,8 +22,7 @@ var Goleak = &Analyzer{
 }
 
 func runGoleak(pass *Pass) {
-	ipa := pass.IPA()
-	for _, n := range ipa.Graph.Nodes {
+	for _, n := range pass.Nodes() {
 		for _, gs := range n.GoSites {
 			for _, t := range gs.Targets {
 				s := t.Summary()
@@ -32,36 +31,18 @@ func runGoleak(pass *Pass) {
 				}
 				loc := pass.Fset.Position(s.ForeverPos)
 				site := pass.formatShortPos(loc.Filename, loc.Line)
-				switch {
-				case t.Fn != nil && s.ForeverVia != "":
-					pass.Reportf(gs.Pos, "goroutine %s can block forever: %s at %s (reached via %s) has no cancellation or close path", t.Name, s.ForeverWhat, site, s.ForeverVia)
-				case t.Fn != nil:
-					pass.Reportf(gs.Pos, "goroutine %s can block forever: %s at %s has no cancellation or close path", t.Name, s.ForeverWhat, site)
-				case s.ForeverVia != "":
-					pass.Reportf(gs.Pos, "spawned goroutine can block forever: %s at %s (reached via %s) has no cancellation or close path", s.ForeverWhat, site, s.ForeverVia)
-				default:
-					pass.Reportf(gs.Pos, "spawned goroutine can block forever: %s at %s has no cancellation or close path", s.ForeverWhat, site)
+				via := ""
+				if s.ForeverVia != nil {
+					via = " (reached via " + pass.funcName(s.ForeverVia) + ")"
+				}
+				if t.Fn != nil {
+					pass.Reportf(gs.Pos, "goroutine %s can block forever: %s at %s%s has no cancellation or close path", pass.funcName(t), s.ForeverWhat, site, via)
+				} else {
+					pass.Reportf(gs.Pos, "spawned goroutine can block forever: %s at %s%s has no cancellation or close path", s.ForeverWhat, site, via)
 				}
 				break // one finding per go statement
 			}
-			reportExternalSpawns(pass, gs)
 		}
-	}
-}
-
-// reportExternalSpawns covers `go otherpkg.F(...)` spawns whose target lives
-// in another module package: the callee's serialized summary says whether it
-// can block forever, and its location strings travel in the message.
-func reportExternalSpawns(pass *Pass, gs GoSite) {
-	if len(gs.Targets) > 0 {
-		return // local resolution already decided this site
-	}
-	for _, fs := range gs.External {
-		if !fs.BlocksForever {
-			continue
-		}
-		pass.Reportf(gs.Pos, "goroutine %s can block forever: %s at %s has no cancellation or close path", shortFuncKey(fs.Key), fs.ForeverWhat, fs.ForeverLoc)
-		break
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 )
 
 // ignoreEntry is one parsed //lint:ignore directive. used flips when the
-// directive suppresses a finding — in the analyzer run or in summary
-// export, where dependency suppressions are consumed — so the driver's
-// -unused-ignores mode can report directives that no longer earn their
-// keep.
+// directive suppresses a finding, or justifies a fact a dependent package's
+// analysis consulted (Package.justified), so AnalyzeModule can report the
+// directives that no longer earn their keep.
 type ignoreEntry struct {
 	rule string
 	pos  token.Position
@@ -59,6 +58,13 @@ func buildIgnores(pkg *Package) *ignoreSet {
 		}
 	}
 	return ig
+}
+
+// justified reports whether a //lint:ignore rule directive covers pos, the
+// site of a fact another package's analysis is about to use, and marks the
+// directive used.
+func (p *Package) justified(pos token.Pos, rule string) bool {
+	return p.ignores().suppressed(Diagnostic{Pos: p.Fset.Position(pos), Rule: rule})
 }
 
 func (ig *ignoreSet) suppressed(d Diagnostic) bool {

@@ -4,7 +4,8 @@
 // concurrent code and the analytics layers (tensor, nn, rnn, bayes) are
 // numerics where silent invariant violations corrupt accuracy instead of
 // crashing. Each analyzer encodes one such invariant; the cmd/darnet-lint
-// driver runs the full registry over the module and fails on findings.
+// driver runs the full registry over the module as one linked unit
+// (AnalyzeModule) and fails on findings.
 //
 // Findings can be suppressed with an explicit, justified directive on the
 // offending line or the line above it:
@@ -57,15 +58,25 @@ type Pass struct {
 	TypesInfo *types.Info
 
 	pkg    *Package
+	ipa    *IPA
 	rule   string
 	report func(Diagnostic)
 }
 
-// IPA returns the package's interprocedural analysis engine (call graph plus
-// function summaries), building it on first use and sharing it between the
-// whole-program analyzers of one Run.
-func (p *Pass) IPA() *IPA {
-	return p.pkg.ipa()
+// IPA returns the run's interprocedural analysis engine (call graph plus
+// function summaries), shared by the whole-program analyzers.
+func (p *Pass) IPA() *IPA { return p.ipa }
+
+// Nodes returns the call-graph nodes of the package under analysis.
+func (p *Pass) Nodes() []*FuncNode { return p.ipa.Graph.NodesOf(p.pkg) }
+
+// funcName names a function in a finding: bare inside the package under
+// analysis, package-qualified ("mid.Watch") when it lives in another.
+func (p *Pass) funcName(n *FuncNode) string {
+	if n.Pkg == p.pkg || n.Fn == nil {
+		return n.Name
+	}
+	return shortFuncName(n.Fn)
 }
 
 // Reportf records a finding at pos under the running analyzer's rule name.
@@ -110,17 +121,19 @@ type Timing struct {
 	Elapsed  time.Duration
 }
 
-// Run executes the analyzers over a loaded package and returns the surviving
-// findings: suppressed ones are dropped, malformed suppressions are added,
-// and the result is sorted by position then rule.
+// Run executes the analyzers over one loaded package on its own: the
+// one-package case of AnalyzeModule's engine, in which callees declared in
+// other packages are opaque. Suppressed findings are dropped, malformed
+// suppressions are added, and the result is sorted by position then rule.
 func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunTimed(pkg, analyzers)
+	diags, _ := buildIPA([]*Package{pkg}).run(pkg, analyzers)
 	return diags
 }
 
-// RunTimed is Run with per-analyzer wall-time measurement, for the driver's
-// -timings flag. Timings are returned in analyzer order.
-func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
+// run executes the analyzers over one package of the linked set and
+// returns its surviving findings, sorted, with per-analyzer wall time in
+// analyzer order.
+func (ipa *IPA) run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 	var diags []Diagnostic
 	timings := make([]Timing, 0, len(analyzers))
 	for _, a := range analyzers {
@@ -131,6 +144,7 @@ func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			pkg:       pkg,
+			ipa:       ipa,
 			rule:      a.Name,
 		}
 		pass.report = func(d Diagnostic) { diags = append(diags, d) }
@@ -148,22 +162,6 @@ func RunTimed(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, []Timing) {
 	kept = append(kept, ig.malformed...)
 	SortDiagnostics(kept)
 	return kept, timings
-}
-
-// UnusedIgnores reports the package's //lint:ignore directives that
-// suppressed nothing, relative to the analyzers that actually ran (a
-// directive for a skipped analyzer is dormant, not stale). Call it after
-// RunTimed and ExportSummaries: both mark usage on the shared entry set.
-func (pkg *Package) UnusedIgnores(analyzers []*Analyzer) []Diagnostic {
-	ran := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		ran[a.Name] = true
-	}
-	known := make(map[string]bool)
-	for _, a := range AllModule() {
-		known[a.Name] = true
-	}
-	return pkg.ignores().unused(ran, known)
 }
 
 // SortDiagnostics orders findings by (file, line, column, rule), the stable

@@ -26,34 +26,13 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	ipaOnce sync.Once
-	ipaVal  *IPA
-
 	igOnce sync.Once
 	igVal  *ignoreSet
-
-	// deps links this package to the function summaries of its
-	// already-analyzed in-module dependencies. Nil in per-package mode;
-	// the module analysis (AnalyzeModule) sets it before the first
-	// Pass.IPA() call so cross-package facts fold into the summaries.
-	deps *ModuleIndex
-}
-
-// SetDeps attaches the module summary index consulted when building this
-// package's interprocedural summaries. It must be called before the first
-// analyzer asks for Pass.IPA().
-func (p *Package) SetDeps(ix *ModuleIndex) { p.deps = ix }
-
-// ipa lazily builds the package's interprocedural engine exactly once, no
-// matter how many whole-program analyzers ask for it.
-func (p *Package) ipa() *IPA {
-	p.ipaOnce.Do(func() { p.ipaVal = buildIPA(p) })
-	return p.ipaVal
 }
 
 // ignores lazily parses the package's //lint:ignore directives exactly
-// once, so the analyzer run and the summary export mark usage on the same
-// entries — the bookkeeping behind the driver's -unused-ignores mode.
+// once, so its own analyzer runs and its dependents' mark usage on the same
+// entries — the bookkeeping behind unused-ignore reporting.
 func (p *Package) ignores() *ignoreSet {
 	p.igOnce.Do(func() { p.igVal = buildIgnores(p) })
 	return p.igVal
@@ -73,10 +52,10 @@ type Loader struct {
 	imp     types.Importer
 
 	// srcPkgs holds source-loaded packages registered via RegisterSource.
-	// The module analysis registers each package as it is analyzed so that
+	// The module analysis registers each package as it loads so that
 	// dependents type-check against the *same* type objects (and the shared
-	// FileSet), which is what lets the cross-package engine resolve callees
-	// by object identity instead of re-deriving them from export data.
+	// FileSet), which is what lets one call graph resolve cross-package
+	// callees by object identity.
 	srcPkgs map[string]*types.Package
 }
 

@@ -27,8 +27,6 @@ var Lockorder = &Analyzer{
 }
 
 func runLockorder(pass *Pass) {
-	ipa := pass.IPA()
-
 	// Fold every function's pairs into one graph, keeping the earliest
 	// position per edge for deterministic reporting.
 	edges := make(map[string]map[string]token.Pos)
@@ -42,29 +40,31 @@ func runLockorder(pass *Pass) {
 			m[to] = pos
 		}
 	}
-	for _, n := range ipa.Graph.Nodes {
+	for _, n := range pass.Nodes() {
 		for key, pos := range n.Summary().Pairs {
 			addEdge(key[0], key[1], pos)
 		}
 	}
 
-	// At module scope, fold in the order edges recorded by already-analyzed
-	// packages. A cycle is reported only when it includes a local edge, so
-	// a dependency's wholly-internal cycle stays reported in that package
-	// and does not duplicate into every dependent.
-	ext := make(map[string]map[string]string) // from -> to -> remote loc
-	if deps := pass.pkg.deps; deps != nil {
-		for _, pr := range deps.Pairs() {
-			if _, local := edges[pr.First][pr.Second]; local {
-				continue
-			}
-			m := ext[pr.First]
-			if m == nil {
-				m = make(map[string]string)
-				ext[pr.First] = m
-			}
-			if _, ok := m[pr.Second]; !ok {
-				m[pr.Second] = pr.Loc
+	// Fold in the order edges recorded by the packages this one imports,
+	// minus those a //lint:ignore lockorder at their own site justifies. A
+	// cycle is reported only when it includes a local edge, so a
+	// dependency's wholly-internal cycle stays reported in that package and
+	// does not duplicate into every dependent.
+	ext := make(map[string]map[string]bool)
+	for _, q := range pass.IPA().deps[pass.pkg] {
+		for _, n := range pass.IPA().Graph.NodesOf(q) {
+			for key, pos := range n.Summary().Pairs {
+				if q.justified(pos, "lockorder") {
+					continue
+				}
+				if _, local := edges[key[0]][key[1]]; local {
+					continue
+				}
+				if ext[key[0]] == nil {
+					ext[key[0]] = make(map[string]bool)
+				}
+				ext[key[0]][key[1]] = true
 			}
 		}
 	}

@@ -1,8 +1,6 @@
 package lint_test
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -29,7 +27,7 @@ var modflowDir = filepath.Join("testdata", "src", "modflow")
 // TestModflowLinkedFindings is the positive half of the concurrency
 // contract: linked as one module, the tree yields exactly the two findings
 // seeded in package root — a plain read of the counter mid manages
-// atomically (atomicmix, via mid's serialized access refs) and a close of a
+// atomically (atomicmix, via mid's linked accesses) and a close of a
 // channel leaf.Halt already closed two packages down (chanlife, via the
 // mustclose op folded through mid.Stop's summary).
 func TestModflowLinkedFindings(t *testing.T) {
@@ -69,9 +67,9 @@ func TestModflowLinkedFindings(t *testing.T) {
 
 // TestModflowFindingsVanishPerPackage is the negative half, and stronger
 // than registry membership: even with the module-scope analyzers running,
-// the per-package engine (no summary index) misses both seeded findings —
+// the one-package engine (lint.Run) misses both seeded findings —
 // root alone has no atomic side for the mix, and mid.Stop degrades to the
-// effect-free external-callee assumption without its linked summary.
+// effect-free external-callee assumption without its linked node.
 func TestModflowFindingsVanishPerPackage(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
@@ -93,85 +91,10 @@ func TestModflowFindingsVanishPerPackage(t *testing.T) {
 	}
 }
 
-// TestModflowSummaryRoundTripBytes pins the new summary currency at the
-// byte level: encoding, decoding, and re-encoding a package's summaries is
-// the identity on the wire format, and the channel-op and atomic-access
-// refs the modflow findings depend on survive the cycle.
-func TestModflowSummaryRoundTripBytes(t *testing.T) {
-	loader, err := sharedLoader()
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	leaf, err := loader.LoadDir(filepath.Join(modflowDir, "leaf"), modflowBase+"leaf")
-	if err != nil {
-		t.Fatalf("load leaf: %v", err)
-	}
-	loader.RegisterSource(leaf)
-
-	ix := lint.NewModuleIndex()
-	leafData, err := lint.EncodeSummaries(lint.ExportSummaries(leaf))
-	if err != nil {
-		t.Fatalf("encode leaf: %v", err)
-	}
-	leafSums, err := lint.DecodeSummaries(leafData)
-	if err != nil {
-		t.Fatalf("decode leaf: %v", err)
-	}
-	ix.Add(leafSums)
-
-	mid, err := loader.LoadDir(filepath.Join(modflowDir, "mid"), modflowBase+"mid")
-	if err != nil {
-		t.Fatalf("load mid: %v", err)
-	}
-	mid.SetDeps(ix)
-
-	for _, pkg := range []*lint.Package{leaf, mid} {
-		data, err := lint.EncodeSummaries(lint.ExportSummaries(pkg))
-		if err != nil {
-			t.Fatalf("encode %s: %v", pkg.Path, err)
-		}
-		decoded, err := lint.DecodeSummaries(data)
-		if err != nil {
-			t.Fatalf("decode %s: %v", pkg.Path, err)
-		}
-		again, err := lint.EncodeSummaries(decoded)
-		if err != nil {
-			t.Fatalf("re-encode %s: %v", pkg.Path, err)
-		}
-		if !bytes.Equal(data, again) {
-			t.Errorf("%s: encode∘decode is not byte-identity:\n%s\nvs\n%s", pkg.Path, data, again)
-		}
-	}
-
-	halt := leafSums.Funcs[modflowBase+"leaf.Halt"]
-	if halt == nil || len(halt.ChanOps) != 1 || halt.ChanOps[0].Op != "mustclose" || halt.ChanOps[0].Param != 0 {
-		t.Errorf("leaf.Halt channel ops wrong: %+v", halt)
-	}
-
-	midData, err := lint.EncodeSummaries(lint.ExportSummaries(mid))
-	if err != nil {
-		t.Fatalf("encode mid: %v", err)
-	}
-	midSums, err := lint.DecodeSummaries(midData)
-	if err != nil {
-		t.Fatalf("decode mid: %v", err)
-	}
-	stop := midSums.Funcs[modflowBase+"mid.Stop"]
-	if stop == nil || len(stop.ChanOps) != 1 || stop.ChanOps[0].Op != "mustclose" || stop.ChanOps[0].Param != 0 {
-		t.Errorf("mid.Stop must inherit leaf.Halt's mustclose through the linked summary: %+v", stop)
-	}
-	bump := midSums.Funcs[modflowBase+"mid.Bump"]
-	if bump == nil || len(bump.AtomicRefs) != 2 ||
-		bump.AtomicRefs[0].ID != modflowBase+"leaf.Live" || !bump.AtomicRefs[0].Write ||
-		bump.AtomicRefs[1].ID != modflowBase+"leaf.Seen" || !bump.AtomicRefs[1].Write {
-		t.Errorf("mid.Bump atomic refs wrong: %+v", bump)
-	}
-}
-
 // TestModuleQboundMutationStream is the qbound acceptance check against
 // real code: deleting the capacity check from stream.Pipeline.Offer's
 // admission loop (the //lint:bounded depth contract) is caught at module
-// scope and structurally missed by -ipa=pkg, where qbound is not
+// scope and structurally missed by lint.Run with All, where qbound is not
 // registered. The unmutated copy stays clean.
 func TestModuleQboundMutationStream(t *testing.T) {
 	loader, err := mutLoader()
@@ -236,19 +159,12 @@ func mutateModflow(t *testing.T, mutate func(content string) string) (*lint.Modu
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	tmp := t.TempDir()
-	for _, name := range []string{"leaf", "mid", "root", "rootquiet"} {
-		sub := filepath.Join(tmp, name)
-		if err := os.Mkdir(sub, 0o755); err != nil {
-			t.Fatalf("mkdir %s: %v", name, err)
+	tmp := copyTree(t, modflowDir, func(name, content string) string {
+		if name == "rootquiet" {
+			return mutate(content)
 		}
-		copyGoFiles(t, filepath.Join(modflowDir, name), sub, func(file, content string) string {
-			if name == "rootquiet" {
-				return mutate(content)
-			}
-			return content
-		})
-	}
+		return content
+	})
 	res, err := lint.AnalyzeModule(loader, modflowPkgs(tmp), lint.AllModule())
 	if err != nil {
 		t.Fatalf("AnalyzeModule: %v", err)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -12,122 +11,28 @@ import (
 	"time"
 )
 
-// This file lifts the per-package interprocedural engine to module scope.
-// Packages are loaded and analyzed in dependency (topological) order; after
-// each package is analyzed its function summaries are serialized
-// (EncodeSummaries) and decoded into a ModuleIndex that later packages
-// consult while building their own summaries. Because Go imports are
-// acyclic, one bottom-up sweep reaches the module-wide fixpoint: by the
-// time a caller is analyzed, every in-module callee's facts are final.
+// This file runs the analyzers over a set of packages as one linked unit.
+// Packages load in dependency (topological) order, each type-checked
+// against the source-loaded objects of its dependencies, so one call graph
+// and one summary fixpoint span them all: a whole-program analyzer reads a
+// cross-package callee's node exactly as it reads a local one.
 //
-// Linking is by object path (FuncKey), not by AST or type-object identity,
-// so the index round-trips through bytes — the same summaries could be
-// cached on disk and reused across runs.
-
-// ModuleIndex maps in-module functions to the serialized summaries of
-// already-analyzed packages.
-type ModuleIndex struct {
-	pkgs map[string]*PkgSummaries
-}
-
-// NewModuleIndex returns an empty index.
-func NewModuleIndex() *ModuleIndex {
-	return &ModuleIndex{pkgs: make(map[string]*PkgSummaries)}
-}
-
-// Add registers one package's decoded summaries.
-func (ix *ModuleIndex) Add(ps *PkgSummaries) { ix.pkgs[ps.Path] = ps }
-
-// Lookup resolves a callee to its serialized summary, or nil when the
-// callee is unknown (nil function, or external to the analyzed set).
-// Local callees also resolve — by the time a package is re-analyzed its
-// own summaries may be indexed — but the call-graph path runs first, so in
-// practice Lookup serves cross-package edges.
-func (ix *ModuleIndex) Lookup(fn *types.Func) *FuncSummary {
-	if ix == nil || fn == nil || fn.Pkg() == nil {
-		return nil
-	}
-	ps := ix.pkgs[fn.Pkg().Path()]
-	if ps == nil {
-		return nil
-	}
-	return ps.Funcs[FuncKey(fn)]
-}
-
-// All returns every indexed function summary in deterministic (package
-// path, function key) order — the census view used by analyzers that need
-// module-wide facts not keyed by a call edge (atomicmix's access sets).
-func (ix *ModuleIndex) All() []*FuncSummary {
-	if ix == nil {
-		return nil
-	}
-	var out []*FuncSummary
-	for _, path := range ix.Packages() {
-		ps := ix.pkgs[path]
-		keys := make([]string, 0, len(ps.Funcs))
-		for k := range ps.Funcs {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			out = append(out, ps.Funcs[k])
-		}
-	}
-	return out
-}
-
-// Packages returns the indexed package paths in sorted order.
-func (ix *ModuleIndex) Packages() []string {
-	out := make([]string, 0, len(ix.pkgs))
-	for p := range ix.pkgs {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Pairs returns every lock-order edge recorded across the indexed
-// packages, deduplicated, in deterministic order.
-func (ix *ModuleIndex) Pairs() []PairRef {
-	seen := make(map[[2]string]PairRef)
-	for _, ps := range ix.pkgs {
-		for _, fs := range ps.Funcs {
-			for _, pr := range fs.Pairs {
-				key := [2]string{pr.First, pr.Second}
-				if _, ok := seen[key]; !ok {
-					seen[key] = pr
-				}
-			}
-		}
-	}
-	keys := make([][2]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	out := make([]PairRef, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, seen[k])
-	}
-	return out
-}
+// Two rules keep a package's findings its own. Scope: they use only facts
+// from the package and the analyzed packages it imports, transitively.
+// Anchors: each finding sits at the first position inside the package on
+// the path to the fact — the call site, the `go` statement, the earliest
+// local lock edge, or the local access.
 
 // ModuleResult is one module-wide analysis run: the merged findings plus
 // per-phase and per-analyzer timings for the driver's -timings output.
 type ModuleResult struct {
+	// Diags holds every surviving finding, including one unused-ignore
+	// finding per //lint:ignore directive that suppressed nothing.
 	Diags    []Diagnostic
 	Packages int
-	// Unused holds the `//lint:ignore` directives that suppressed nothing
-	// in this run (reported by the driver's -unused-ignores mode).
-	Unused []Diagnostic
 	// Phases records wall time for the pipeline stages: "load" (parse +
-	// type-check), "ir" (call graph + flow graph construction), "analyze"
-	// (analyzer runs), "link" (summary export, encode, decode, index).
+	// type-check), "ir" (call graph, summaries, and flow graphs), and
+	// "analyze" (analyzer runs).
 	Phases []Timing
 	// Spent is per-analyzer wall time in nanoseconds, summed across
 	// packages.
@@ -135,69 +40,69 @@ type ModuleResult struct {
 }
 
 // AnalyzeModule runs the analyzers over the given (dir, importPath) pairs
-// as one linked unit: packages load and analyze in dependency order, each
-// package sees the serialized summaries of its analyzed dependencies, and
-// findings merge into one deterministically sorted list.
+// as one linked unit and merges the findings into one deterministically
+// sorted list.
 func AnalyzeModule(loader *Loader, pkgs [][2]string, analyzers []*Analyzer) (*ModuleResult, error) {
 	res := &ModuleResult{Spent: make(map[string]int64)}
 	order, err := topoOrder(loader.Fset, pkgs)
 	if err != nil {
 		return nil, err
 	}
-	ix := NewModuleIndex()
-	var loadT, irT, analyzeT, linkT time.Duration
+	start := time.Now()
+	loaded := make([]*Package, 0, len(order))
 	for _, p := range order {
-		start := time.Now()
 		pkg, err := loader.LoadDir(p[0], p[1])
 		if err != nil {
 			return nil, err
 		}
 		loader.RegisterSource(pkg)
-		pkg.SetDeps(ix)
-		loadT += time.Since(start)
+		loaded = append(loaded, pkg)
+	}
+	loadT := time.Since(start)
 
-		// IR construction — call graph, summaries, and per-function flow
-		// graphs — is forced here so its cost is visible as its own phase
-		// rather than billed to whichever analyzer touches it first.
-		start = time.Now()
-		pkg.BuildIR()
-		irT += time.Since(start)
+	// IR construction — call graph, summaries, and per-function flow
+	// graphs — is forced here so its cost is visible as its own phase
+	// rather than billed to whichever analyzer touches it first.
+	start = time.Now()
+	ipa := buildIPA(loaded)
+	for _, pkg := range loaded {
+		for _, n := range ipa.Graph.NodesOf(pkg) {
+			ipa.FlowGraph(n)
+		}
+	}
+	irT := time.Since(start)
 
-		start = time.Now()
-		diags, timings := RunTimed(pkg, analyzers)
+	start = time.Now()
+	for _, pkg := range loaded {
+		diags, timings := ipa.run(pkg, analyzers)
 		res.Diags = append(res.Diags, diags...)
 		for _, tm := range timings {
 			res.Spent[tm.Analyzer] += tm.Elapsed.Nanoseconds()
 		}
-		analyzeT += time.Since(start)
-
-		start = time.Now()
-		data, err := EncodeSummaries(ExportSummaries(pkg))
-		if err != nil {
-			return nil, fmt.Errorf("lint: export summaries for %s: %w", p[1], err)
-		}
-		decoded, err := DecodeSummaries(data)
-		if err != nil {
-			return nil, err
-		}
-		ix.Add(decoded)
-		linkT += time.Since(start)
-
-		// Unused-ignore accounting runs last: the export step above marks
-		// ignores consumed by summary filtering as used, so a directive
-		// only lands here when neither the analyzer run nor the module
-		// link needed it.
-		res.Unused = append(res.Unused, pkg.UnusedIgnores(analyzers)...)
 	}
+	analyzeT := time.Since(start)
+
+	// Unused-ignore accounting runs after every package: a dependent's
+	// analysis can consume a directive in the package it imports.
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
+	known := make(map[string]bool)
+	for _, a := range AllModule() {
+		known[a.Name] = true
+	}
+	for _, pkg := range loaded {
+		res.Diags = append(res.Diags, pkg.ignores().unused(ran, known)...)
+	}
+
 	res.Packages = len(order)
 	res.Phases = []Timing{
 		{Analyzer: "load", Elapsed: loadT},
 		{Analyzer: "ir", Elapsed: irT},
 		{Analyzer: "analyze", Elapsed: analyzeT},
-		{Analyzer: "link", Elapsed: linkT},
 	}
 	SortDiagnostics(res.Diags)
-	SortDiagnostics(res.Unused)
 	return res, nil
 }
 

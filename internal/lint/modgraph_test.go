@@ -1,9 +1,9 @@
 package lint_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -30,9 +30,9 @@ var modipaDir = filepath.Join("testdata", "src", "modipa")
 
 // TestModuleLinkedFindings is the positive half of the cross-package
 // contract: analyzed as one linked module, the fixture tree yields exactly
-// the four findings seeded in package root — each provable only by folding
-// another package's serialized summaries — and nothing in leaf, mid, or the
-// fully-suppressed rootquiet.
+// the four findings seeded in package root — each provable only by reading
+// another package's functions through the linked graph — and nothing in
+// leaf, mid, or the fully-suppressed rootquiet.
 func TestModuleLinkedFindings(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
@@ -74,21 +74,21 @@ func TestModuleLinkedFindings(t *testing.T) {
 	if len(res.Diags) != 4 {
 		t.Errorf("want exactly 4 module-linked findings (goleak, hotalloc, lockorder, shapeflow), got %d: %v", len(res.Diags), res.Diags)
 	}
-	if len(res.Phases) != 4 {
-		t.Errorf("want 4 pipeline phases (load, ir, analyze, link), got %v", res.Phases)
+	if len(res.Phases) != 3 {
+		t.Errorf("want 3 pipeline phases (load, ir, analyze), got %v", res.Phases)
 	}
 }
 
 // TestModuleFindingsVanishPerPackage is the negative half: the same tree
 // analyzed package-by-package (sources registered so imports resolve, but no
-// summary index) yields nothing — every finding above genuinely needs the
+// linked graph) yields nothing — every finding above genuinely needs the
 // cross-package link.
 func TestModuleFindingsVanishPerPackage(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	// Topological order by hand: imports must resolve, summaries must not.
+	// Topological order by hand: imports must resolve, callees must not.
 	order := []string{"leaf", "mid", "root", "rootquiet"}
 	var diags []lint.Diagnostic
 	for _, name := range order {
@@ -101,69 +101,6 @@ func TestModuleFindingsVanishPerPackage(t *testing.T) {
 	}
 	if len(diags) != 0 {
 		t.Fatalf("per-package analysis must miss the cross-package findings, got %v", diags)
-	}
-}
-
-// TestSummarySerializationRoundTrip pins the linking currency: the encode →
-// decode cycle is lossless, and the summaries carry the exact cross-package
-// facts the module tests above rely on (forever-blocking, allocation sites,
-// lock pairs, shape transfers).
-func TestSummarySerializationRoundTrip(t *testing.T) {
-	loader, err := sharedLoader()
-	if err != nil {
-		t.Fatalf("loader: %v", err)
-	}
-	leaf, err := loader.LoadDir(filepath.Join(modipaDir, "leaf"), modipaBase+"leaf")
-	if err != nil {
-		t.Fatalf("load leaf: %v", err)
-	}
-	loader.RegisterSource(leaf)
-	mid, err := loader.LoadDir(filepath.Join(modipaDir, "mid"), modipaBase+"mid")
-	if err != nil {
-		t.Fatalf("load mid: %v", err)
-	}
-
-	for _, pkg := range []*lint.Package{leaf, mid} {
-		ps := lint.ExportSummaries(pkg)
-		data, err := lint.EncodeSummaries(ps)
-		if err != nil {
-			t.Fatalf("encode %s: %v", pkg.Path, err)
-		}
-		decoded, err := lint.DecodeSummaries(data)
-		if err != nil {
-			t.Fatalf("decode %s: %v", pkg.Path, err)
-		}
-		if !reflect.DeepEqual(ps, decoded) {
-			t.Errorf("%s: summaries do not round-trip:\n%+v\nvs\n%+v", pkg.Path, ps, decoded)
-		}
-	}
-
-	leafSums := lint.ExportSummaries(leaf)
-	wait := leafSums.Funcs[modipaBase+"leaf.WaitForever"]
-	if wait == nil || !wait.BlocksForever || wait.ForeverWhat != "channel receive" {
-		t.Errorf("leaf.WaitForever summary wrong: %+v", wait)
-	}
-	grow := leafSums.Funcs[modipaBase+"leaf.Grow"]
-	if grow == nil || len(grow.Allocs) != 1 || grow.Allocs[0].What != "make" {
-		t.Errorf("leaf.Grow summary wrong: %+v", grow)
-	}
-	// Scratch's make carries //lint:ignore hotalloc: the export filter must
-	// drop it so the justification holds module-wide.
-	scratch := leafSums.Funcs[modipaBase+"leaf.Scratch"]
-	if scratch == nil || len(scratch.Allocs) != 0 {
-		t.Errorf("leaf.Scratch's justified allocation leaked into the export: %+v", scratch)
-	}
-	lockPair := leafSums.Funcs[modipaBase+"leaf.LockIndexThenTable"]
-	if lockPair == nil || len(lockPair.Pairs) != 1 ||
-		lockPair.Pairs[0].First != "Index.mu" || lockPair.Pairs[0].Second != "Table.mu" {
-		t.Errorf("leaf.LockIndexThenTable pair wrong: %+v", lockPair)
-	}
-
-	midSums := lint.ExportSummaries(mid)
-	embed := midSums.Funcs[modipaBase+"mid.Embed"]
-	wantShape := &lint.ShapeTransfer{Dims: []lint.DimRef{{Kind: "arg", Arg: 0}, {Kind: "const", Value: 64}}}
-	if embed == nil || !reflect.DeepEqual(embed.Shape, wantShape) {
-		t.Errorf("mid.Embed shape transfer wrong: got %+v, want %+v", embed, wantShape)
 	}
 }
 
@@ -197,6 +134,205 @@ func copyGoFiles(t *testing.T, src, dst string, mutate func(name, content string
 		}
 		if err := os.WriteFile(filepath.Join(dst, name), []byte(content), 0o644); err != nil {
 			t.Fatalf("write %s: %v", name, err)
+		}
+	}
+}
+
+// copyTree copies a four-package fixture tree (leaf, mid, root, rootquiet)
+// into a temp dir, applying mutate to each package's file sources, and
+// returns the copy's root.
+func copyTree(t *testing.T, src string, mutate func(pkg, content string) string) string {
+	t.Helper()
+	tmp := t.TempDir()
+	for _, name := range []string{"leaf", "mid", "root", "rootquiet"} {
+		sub := filepath.Join(tmp, name)
+		if err := os.Mkdir(sub, 0o755); err != nil {
+			t.Fatalf("mkdir %s: %v", name, err)
+		}
+		copyGoFiles(t, filepath.Join(src, name), sub, func(_, content string) string {
+			return mutate(name, content)
+		})
+	}
+	return tmp
+}
+
+// ignoreLines returns the file:line of every //lint:ignore directive in one
+// fixture package directory.
+func ignoreLines(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatalf("read %s: %v", dir, err)
+	}
+	var out []string
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatalf("read %s: %v", e.Name(), err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "//lint:ignore ") {
+				out = append(out, fmt.Sprintf("%s:%d", e.Name(), i+1))
+			}
+		}
+	}
+	return out
+}
+
+// unusedAt returns the unused-ignore findings keyed by file:line.
+func unusedAt(diags []lint.Diagnostic) map[string]lint.Diagnostic {
+	out := make(map[string]lint.Diagnostic)
+	for _, d := range diags {
+		if d.Rule == "unused-ignore" {
+			out[fmt.Sprintf("%s:%d", filepath.Base(d.Pos.Filename), d.Pos.Line)] = d
+		}
+	}
+	return out
+}
+
+// TestModuleUnusedIgnores pins the unused-ignore bookkeeping over the
+// modipa tree. rootquiet's three call-site directives suppress findings
+// anchored in rootquiet, and leaf.Scratch's directive justifies an
+// allocation that root's hot path reaches two packages up: all four are
+// consumed. Once Scratch stops allocating its directive is stale, and a
+// directive naming no analyzer is always reported.
+func TestModuleUnusedIgnores(t *testing.T) {
+	loader, err := mutLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	quiet := ignoreLines(t, filepath.Join(modipaDir, "rootquiet"))
+	scratch := ignoreLines(t, filepath.Join(modipaDir, "leaf"))
+	if len(quiet) != 3 || len(scratch) != 1 {
+		t.Fatalf("fixture drifted: want 3 rootquiet and 1 leaf directives, got %v and %v", quiet, scratch)
+	}
+	res, err := lint.AnalyzeModule(loader, modipaPkgs(modipaDir), lint.AllModule())
+	if err != nil {
+		t.Fatalf("AnalyzeModule: %v", err)
+	}
+	if unused := unusedAt(res.Diags); len(unused) != 0 {
+		t.Fatalf("every modipa directive must be consumed, got %v", unused)
+	}
+
+	const (
+		alloc     = "return make([]byte, 4096)"
+		noAlloc   = "return warm[:]"
+		unknown   = "//lint:ignore nosuchrule a directive for an analyzer that does not exist\n"
+		monitor   = "func Monitor() {\n"
+		wantStale = "//lint:ignore hotalloc suppressed nothing in this run; delete it"
+	)
+	tmp := copyTree(t, modipaDir, func(name, content string) string {
+		old, repl := "", ""
+		switch name {
+		case "leaf":
+			old, repl = alloc, noAlloc
+		case "rootquiet":
+			old, repl = monitor, monitor+"\t"+unknown
+		default:
+			return content
+		}
+		next := strings.Replace(content, old, repl, 1)
+		if next == content {
+			t.Fatalf("%s fixture drifted: %q not found", name, old)
+		}
+		return next
+	})
+	res, err = lint.AnalyzeModule(loader, modipaPkgs(tmp), lint.AllModule())
+	if err != nil {
+		t.Fatalf("AnalyzeModule(mutated): %v", err)
+	}
+	unused := unusedAt(res.Diags)
+	if d, ok := unused[scratch[0]]; !ok || d.Message != wantStale {
+		t.Errorf("leaf.Scratch's directive must be reported stale once Scratch stops allocating, got %v", unused)
+	}
+	unknownAt := lineOf(t, filepath.Join(tmp, "rootquiet", "rootquiet.go"), "nosuchrule")
+	if d, ok := unused[unknownAt]; !ok || !strings.Contains(d.Message, "names no known analyzer") {
+		t.Errorf("a directive naming no analyzer must be reported at %s, got %v", unknownAt, unused)
+	}
+	if len(unused) != 2 {
+		t.Errorf("want exactly the stale and the unknown directive reported, got %v", unused)
+	}
+}
+
+// lineOf returns the base:line of the first line in path containing substr.
+func lineOf(t *testing.T, path, substr string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read %s: %v", path, err)
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.Contains(line, substr) {
+			return fmt.Sprintf("%s:%d", filepath.Base(path), i+1)
+		}
+	}
+	t.Fatalf("%s: no line contains %q", path, substr)
+	return ""
+}
+
+// permutations returns every ordering of pkgs.
+func permutations(pkgs [][2]string) [][][2]string {
+	if len(pkgs) <= 1 {
+		return [][][2]string{pkgs}
+	}
+	var out [][][2]string
+	for i := range pkgs {
+		rest := append(append([][2]string(nil), pkgs[:i]...), pkgs[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([][2]string{pkgs[i]}, p...))
+		}
+	}
+	return out
+}
+
+// TestModuleOrderInvariance analyzes the modipa and modflow trees in all 24
+// input orders of their four packages: the diagnostics must be
+// byte-identical, and each cross-package finding must appear exactly once,
+// in package root, where it is anchored.
+func TestModuleOrderInvariance(t *testing.T) {
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	for _, tree := range []struct {
+		name  string
+		pkgs  [][2]string
+		count int
+	}{
+		{"modipa", modipaPkgs(modipaDir), 4},
+		{"modflow", modflowPkgs(modflowDir), 2},
+	} {
+		orders := permutations(tree.pkgs)
+		if len(orders) != 24 {
+			t.Fatalf("%s: %d orders, want 24", tree.name, len(orders))
+		}
+		var first string
+		for i, order := range orders {
+			res, err := lint.AnalyzeModule(loader, order, lint.AllModule())
+			if err != nil {
+				t.Fatalf("%s order %d: %v", tree.name, i, err)
+			}
+			var b strings.Builder
+			seen := make(map[string]bool)
+			for _, d := range res.Diags {
+				line := d.String()
+				if seen[line] {
+					t.Errorf("%s order %d: duplicate finding %s", tree.name, i, line)
+				}
+				seen[line] = true
+				if !strings.Contains(filepath.ToSlash(d.Pos.Filename), tree.name+"/root/") {
+					t.Errorf("%s order %d: finding outside package root: %s", tree.name, i, d)
+				}
+				b.WriteString(line + "\n")
+			}
+			if len(res.Diags) != tree.count {
+				t.Errorf("%s order %d: %d findings, want %d: %v", tree.name, i, len(res.Diags), tree.count, res.Diags)
+			}
+			if i == 0 {
+				first = b.String()
+			} else if b.String() != first {
+				t.Errorf("%s order %d differs from order 0:\n%s\nvs\n%s", tree.name, i, b.String(), first)
+			}
 		}
 	}
 }
@@ -282,23 +418,16 @@ func TestModuleAllocMutationTwoLevels(t *testing.T) {
 		reuse  = "return warm[:]"
 		seeded = "return make([]byte, 256)"
 	)
-	tmp := t.TempDir()
-	for _, name := range []string{"leaf", "mid", "root", "rootquiet"} {
-		sub := filepath.Join(tmp, name)
-		if err := os.Mkdir(sub, 0o755); err != nil {
-			t.Fatalf("mkdir %s: %v", name, err)
-		}
-		copyGoFiles(t, filepath.Join(modipaDir, name), sub, func(file, content string) string {
-			if name == "leaf" {
-				next := strings.Replace(content, reuse, seeded, 1)
-				if next == content {
-					t.Fatalf("leaf fixture drifted: buffer reuse line %q not found", reuse)
-				}
-				return next
-			}
+	tmp := copyTree(t, modipaDir, func(name, content string) string {
+		if name != "leaf" {
 			return content
-		})
-	}
+		}
+		next := strings.Replace(content, reuse, seeded, 1)
+		if next == content {
+			t.Fatalf("leaf fixture drifted: buffer reuse line %q not found", reuse)
+		}
+		return next
+	})
 
 	res, err := lint.AnalyzeModule(loader, modipaPkgs(tmp), lint.AllModule())
 	if err != nil {
@@ -315,7 +444,7 @@ func TestModuleAllocMutationTwoLevels(t *testing.T) {
 		t.Fatalf("module analysis must catch the seeded allocation two packages below the hotpath root, got %v", res.Diags)
 	}
 
-	// Per-package: reload the mutated tree without a summary index; the
+	// Per-package: reload the mutated tree without linking it; the
 	// seeded make is invisible from root and not hot inside leaf.
 	var diags []lint.Diagnostic
 	for _, name := range []string{"leaf", "mid", "root", "rootquiet"} {

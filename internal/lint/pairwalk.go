@@ -20,15 +20,15 @@ import (
 
 // computePairs fills n.summary.Pairs. Must run after propagate, so callee
 // Acquires sets are final.
-func computePairs(pkg *Package, g *CallGraph, n *FuncNode) {
-	w := &pairWalker{pkg: pkg, g: g, s: n.summary}
+func computePairs(g *CallGraph, n *FuncNode) {
+	w := &pairWalker{n: n, g: g, s: n.summary}
 	w.stmts(n.Body.List, make(map[string]token.Pos))
 }
 
 type pairWalker struct {
-	pkg *Package
-	g   *CallGraph
-	s   *Summary
+	n *FuncNode
+	g *CallGraph
+	s *Summary
 }
 
 func (w *pairWalker) pair(held map[string]token.Pos, acquired string, pos token.Pos) {
@@ -61,10 +61,10 @@ func (w *pairWalker) scan(node ast.Node, held map[string]token.Pos) {
 }
 
 // call handles one call expression: a mutex operation updates the held set,
-// anything resolving to local functions imports their acquire sets as pairs
-// against the locks currently held.
+// anything resolving to analyzed functions imports their acquire sets as
+// pairs against the locks currently held.
 func (w *pairWalker) call(call *ast.CallExpr, held map[string]token.Pos) {
-	if id, kind, ok := mutexOp(w.pkg.Info, call); ok {
+	if id, kind, ok := mutexOp(w.n.Pkg.Info, call); ok {
 		switch kind {
 		case mutexAcquire:
 			w.pair(held, id, call.Pos())
@@ -80,16 +80,7 @@ func (w *pairWalker) call(call *ast.CallExpr, held map[string]token.Pos) {
 			targets = []*FuncNode{n}
 		}
 	} else {
-		targets, _ = w.g.resolve(call)
-		if len(targets) == 0 && w.pkg.deps != nil {
-			// Cross-package callee: its transitive acquires come from the
-			// module index, ordered against the locally held locks.
-			if fs := w.pkg.deps.Lookup(calleeFunc(w.pkg.Info, call)); fs != nil {
-				for _, a := range fs.Acquires {
-					w.pair(held, a.ID, call.Pos())
-				}
-			}
-		}
+		targets, _ = w.g.resolve(w.n, call)
 	}
 	for _, t := range targets {
 		for id := range t.summary.Acquires {
@@ -159,7 +150,7 @@ func (w *pairWalker) stmt(s ast.Stmt, held map[string]token.Pos) map[string]toke
 		// the rest of the body, so only deferred *acquisitions* are
 		// scanned (against the current held set, an approximation of the
 		// set at return).
-		if _, kind, ok := mutexOp(w.pkg.Info, s.Call); ok && kind == mutexRelease {
+		if _, kind, ok := mutexOp(w.n.Pkg.Info, s.Call); ok && kind == mutexRelease {
 			return held
 		}
 		w.scan(s.Call, held)

@@ -58,12 +58,8 @@ func runQbound(pass *Pass) {
 	if len(bounded) == 0 {
 		return
 	}
-	ipa := pass.IPA()
-	for _, n := range ipa.Graph.Nodes {
-		if n.Body == nil {
-			continue
-		}
-		checkBoundedFunc(pass, ipa, n, bounded)
+	for _, n := range pass.Nodes() {
+		checkBoundedFunc(pass, n, bounded)
 	}
 }
 
@@ -176,12 +172,12 @@ type growSite struct {
 	bf   *boundedField
 }
 
-func checkBoundedFunc(pass *Pass, ipa *IPA, n *FuncNode, bounded []*boundedField) {
+func checkBoundedFunc(pass *Pass, n *FuncNode, bounded []*boundedField) {
 	grows := findGrows(pass.TypesInfo, n.Body, bounded)
 	if len(grows) == 0 {
 		return
 	}
-	fg := ipa.FlowGraph(n)
+	fg := pass.IPA().FlowGraph(n)
 	relCache := map[*boundedField][]bool{}
 	for _, g := range grows {
 		blk, nodeIdx := locateNode(fg, g.node)

@@ -1,15 +1,10 @@
 package lint
 
-// All returns the full analyzer registry in the order findings are
-// conventionally reported: the intra-procedural rules first, then the
-// whole-program analyzers built on the interprocedural engine.
+// All returns the analyzers every package is checked by on its own, in the
+// order findings are conventionally reported: the intra-procedural rules
+// first, then the whole-program analyzers built on the interprocedural
+// engine.
 func All() []*Analyzer {
-	return append(Intraprocedural(), Interprocedural()...)
-}
-
-// Intraprocedural returns the single-function AST rules — the fast subset
-// `make lint-fast` runs in edit loops.
-func Intraprocedural() []*Analyzer {
 	return []*Analyzer{
 		Locksafe,
 		Floatcmp,
@@ -18,13 +13,6 @@ func Intraprocedural() []*Analyzer {
 		Ctxsleep,
 		Shapecheck,
 		Metricname,
-	}
-}
-
-// Interprocedural returns the whole-program analyzers that share the
-// package call graph and function summaries.
-func Interprocedural() []*Analyzer {
-	return []*Analyzer{
 		Goleak,
 		Lockorder,
 		Hotalloc,
@@ -32,30 +20,9 @@ func Interprocedural() []*Analyzer {
 	}
 }
 
-// Module returns the analyzers that are only meaningful at module scope,
-// where cross-package summaries (shape transfers, channel effects,
-// atomic/plain access sets) are available through the module index.
-func Module() []*Analyzer {
-	return []*Analyzer{
-		Shapeflow,
-		Chanlife,
-		Atomicmix,
-		Qbound,
-	}
-}
-
-// Concurrency returns the flow-sensitive concurrency analyzers — the
-// `make lint-concurrency` fast-iteration subset.
-func Concurrency() []*Analyzer {
-	return []*Analyzer{
-		Chanlife,
-		Atomicmix,
-		Qbound,
-	}
-}
-
-// AllModule is the registry the driver runs in -ipa=module mode: every
-// per-package rule plus the module-scope analyzers.
+// AllModule is the registry darnet-lint runs: every rule of All plus the
+// analyzers registered at module scope only (shapeflow, chanlife,
+// atomicmix, qbound).
 func AllModule() []*Analyzer {
-	return append(All(), Module()...)
+	return append(All(), Shapeflow, Chanlife, Atomicmix, Qbound)
 }

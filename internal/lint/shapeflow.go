@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -14,13 +13,11 @@ import (
 // counts, elementwise-op shape agreement, AddRowVector widths. Where
 // shapecheck inspects single call expressions with literal arguments,
 // shapeflow follows values — through assignments, constructor results,
-// Reshape/Transpose/Clone chains, and calls to other functions whose
-// shape-transfer summaries (ShapeTransfer) are derivable locally or arrive
-// from already-analyzed packages through the module index.
+// Reshape/Transpose/Clone chains, and calls to other analyzed functions —
+// in this package or any it imports — whose shape-transfer summaries are
+// derivable.
 //
-// The analyzer is registered at module scope only (registry AllModule):
-// its cross-function reasoning depends on transfer summaries, and those
-// flow between packages only when the driver links the module.
+// The analyzer is registered at module scope only (registry AllModule).
 var Shapeflow = &Analyzer{
 	Name: "shapeflow",
 	Doc:  "tensor shapes derived by dataflow must satisfy operator contracts",
@@ -29,60 +26,30 @@ var Shapeflow = &Analyzer{
 
 func runShapeflow(pass *Pass) {
 	eng := pass.IPA().shapeEngine()
-	for _, n := range eng.ipa.Graph.Nodes {
-		if n.Fn != nil {
-			eng.analyze(n)
-		}
+	for _, n := range pass.Nodes() {
+		eng.analyze(n)
 	}
-	for _, f := range eng.findings {
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
+	eng.report(pass)
 }
 
-// ShapeTransfer is a function's serializable shape-transfer summary: how the
-// dimensions of its (first) tensor result derive from its arguments. It is
-// exported with the function's FuncSummary, so callers in other packages
-// instantiate it against their own abstract arguments.
-type ShapeTransfer struct {
-	Dims []DimRef `json:"dims"`
-}
-
-// DimRef describes one output dimension.
-type DimRef struct {
-	// Kind is "const" (Value), "arg" (the value of the Arg-th parameter),
-	// "argdim" (dimension Dim of the Arg-th parameter), or "unknown".
-	Kind  string `json:"kind"`
-	Value int64  `json:"value,omitempty"`
-	Arg   int    `json:"arg,omitempty"`
-	Dim   int    `json:"dim,omitempty"`
-}
-
-// shapeFinding is one buffered diagnostic; the engine dedups by value so a
-// site checked along several evaluation paths reports once.
-type shapeFinding struct {
-	pos token.Pos
-	msg string
-}
-
-// shapeEngine owns the per-package shapeflow state: memoized transfer
-// summaries per function node and the deduplicated findings buffer. It is
-// built lazily on the IPA so ExportSummaries can derive transfers even when
-// the Shapeflow analyzer itself is not in the running set.
+// shapeEngine owns the shapeflow state: memoized transfer summaries per
+// function node and the deduplicated findings buffer. A transfer summary is
+// the abstract shape of the function's first tensor result, in terms of
+// its own parameters (symIntParam, symTensorDim); callers instantiate it
+// against their arguments.
 type shapeEngine struct {
+	findingSet
 	ipa       *IPA
-	transfers map[*FuncNode]*ShapeTransfer
+	transfers map[*FuncNode]*ashape
 	state     map[*FuncNode]int // 0 unvisited, 1 in progress, 2 done
-	findings  []shapeFinding
-	seen      map[shapeFinding]bool
 }
 
 func (ipa *IPA) shapeEngine() *shapeEngine {
 	if ipa.shape == nil {
 		ipa.shape = &shapeEngine{
 			ipa:       ipa,
-			transfers: make(map[*FuncNode]*ShapeTransfer),
+			transfers: make(map[*FuncNode]*ashape),
 			state:     make(map[*FuncNode]int),
-			seen:      make(map[shapeFinding]bool),
 		}
 	}
 	return ipa.shape
@@ -104,21 +71,12 @@ func (e *shapeEngine) analyze(n *FuncNode) {
 
 // transferFor returns a declared function's shape-transfer summary (nil when
 // none is derivable), analyzing on first use. Recursive cycles get nil.
-func (e *shapeEngine) transferFor(n *FuncNode) *ShapeTransfer {
+func (e *shapeEngine) transferFor(n *FuncNode) *ashape {
 	if n == nil || n.Fn == nil || e.state[n] == 1 {
 		return nil
 	}
 	e.analyze(n)
 	return e.transfers[n]
-}
-
-func (e *shapeEngine) reportf(pos token.Pos, format string, args ...any) {
-	f := shapeFinding{pos: pos, msg: fmt.Sprintf(format, args...)}
-	if e.seen[f] {
-		return
-	}
-	e.seen[f] = true
-	e.findings = append(e.findings, f)
 }
 
 // shapeWalker runs the forward dataflow over one function body.
@@ -134,7 +92,7 @@ type shapeWalker struct {
 }
 
 func newShapeWalker(e *shapeEngine, n *FuncNode) *shapeWalker {
-	return &shapeWalker{eng: e, pkg: e.ipa.Pkg, n: n, tensorParams: make(map[*types.Var]int), retIdx: -1}
+	return &shapeWalker{eng: e, pkg: n.Pkg, n: n, tensorParams: make(map[*types.Var]int), retIdx: -1}
 }
 
 // paramEnv seeds the entry state: integer parameters become their own
@@ -553,52 +511,40 @@ func (w *shapeWalker) evalCall(call *ast.CallExpr, env *shapeEnv) ashape {
 	return unknownShape()
 }
 
-// lookupTransfer resolves a callee's shape-transfer summary: same-package
-// functions analyze on demand through the engine; in-module callees from
-// other packages resolve through the serialized module index.
-func (w *shapeWalker) lookupTransfer(fn *types.Func) *ShapeTransfer {
-	if n := w.eng.ipa.Graph.NodeFor(fn); n != nil {
-		return w.eng.transferFor(n)
-	}
-	if w.pkg.deps != nil {
-		if fs := w.pkg.deps.Lookup(fn); fs != nil {
-			return fs.Shape
-		}
-	}
-	return nil
+// lookupTransfer resolves an analyzed callee's shape-transfer summary,
+// analyzing it on demand.
+func (w *shapeWalker) lookupTransfer(fn *types.Func) *ashape {
+	return w.eng.transferFor(w.eng.ipa.Graph.NodeFor(fn))
 }
 
 // instantiate evaluates a callee's transfer summary against the call's
 // actual arguments.
-func (w *shapeWalker) instantiate(ts *ShapeTransfer, call *ast.CallExpr, env *shapeEnv) ashape {
+func (w *shapeWalker) instantiate(ts *ashape, call *ast.CallExpr, env *shapeEnv) ashape {
 	if call.Ellipsis.IsValid() {
 		return unknownShape()
 	}
-	dims := make([]adim, len(ts.Dims))
-	for i, r := range ts.Dims {
-		dims[i] = w.instantiateDim(r, call, env)
+	dims := make([]adim, len(ts.dims))
+	for i, d := range ts.dims {
+		dims[i] = w.instantiateDim(d, call, env)
 	}
 	return knownShape(dims)
 }
 
-func (w *shapeWalker) instantiateDim(r DimRef, call *ast.CallExpr, env *shapeEnv) adim {
-	switch r.Kind {
-	case "const":
-		return constDim(r.Value)
-	case "arg":
-		if r.Arg < len(call.Args) {
-			return w.evalInt(call.Args[r.Arg], env)
-		}
-	case "argdim":
-		if r.Arg < len(call.Args) {
-			arg := call.Args[r.Arg]
-			if s := w.evalShape(arg, env); s.known && r.Dim < len(s.dims) {
-				return s.dims[r.Dim]
-			}
-			if p := w.paramTensor(arg); p >= 0 {
-				return symDim(symID{kind: symTensorDim, arg: p, dim: r.Dim})
-			}
-		}
+func (w *shapeWalker) instantiateDim(d adim, call *ast.CallExpr, env *shapeEnv) adim {
+	switch {
+	case d.kind == dimConst:
+		return d
+	case d.kind != dimSym || d.sym.arg >= len(call.Args):
+		return topDim()
+	case d.sym.kind == symIntParam:
+		return w.evalInt(call.Args[d.sym.arg], env)
+	}
+	arg := call.Args[d.sym.arg]
+	if s := w.evalShape(arg, env); s.known && d.sym.dim < len(s.dims) {
+		return s.dims[d.sym.dim]
+	}
+	if p := w.paramTensor(arg); p >= 0 {
+		return symDim(symID{kind: symTensorDim, arg: p, dim: d.sym.dim})
 	}
 	return topDim()
 }
@@ -701,7 +647,7 @@ func (w *shapeWalker) checkInner(pos token.Pos, op string, sa ashape, ia int, sb
 	}
 	da, db := sa.dims[ia], sb.dims[ib]
 	if da.kind == dimConst && db.kind == dimConst && da.val != db.val {
-		w.eng.reportf(pos, "%s inner dimensions disagree: %d vs %d (fails at run time)", op, da.val, db.val)
+		w.eng.add(w.pkg, pos, "%s inner dimensions disagree: %d vs %d (fails at run time)", op, da.val, db.val)
 	}
 }
 
@@ -714,12 +660,12 @@ func (w *shapeWalker) checkSameShape(pos token.Pos, op string, a, b ashape) {
 		return
 	}
 	if len(da) != len(db) {
-		w.eng.reportf(pos, "%s operands have different shapes: %v vs %v (fails at run time)", op, da, db)
+		w.eng.add(w.pkg, pos, "%s operands have different shapes: %v vs %v (fails at run time)", op, da, db)
 		return
 	}
 	for i := range da {
 		if da[i] != db[i] {
-			w.eng.reportf(pos, "%s operands have different shapes: %v vs %v (fails at run time)", op, da, db)
+			w.eng.add(w.pkg, pos, "%s operands have different shapes: %v vs %v (fails at run time)", op, da, db)
 			return
 		}
 	}
@@ -729,7 +675,7 @@ func (w *shapeWalker) checkSameShape(pos token.Pos, op string, a, b ashape) {
 func (w *shapeWalker) require2D(pos token.Pos, op string, shapes ...ashape) {
 	for _, s := range shapes {
 		if s.known && len(s.dims) != 2 {
-			w.eng.reportf(pos, "%s requires 2-D operands but this one is %d-D (fails at run time)", op, len(s.dims))
+			w.eng.add(w.pkg, pos, "%s requires 2-D operands but this one is %d-D (fails at run time)", op, len(s.dims))
 		}
 	}
 }
@@ -750,7 +696,7 @@ func (w *shapeWalker) reshape(call *ast.CallExpr, env *shapeEnv, name string, re
 		}
 		allSyntactic = false
 		if d := dims.dims[i]; d.kind == dimConst && d.val < 0 {
-			w.eng.reportf(a.Pos(), "tensor.%s dimension %d is negative (fails at run time)", name, d.val)
+			w.eng.add(w.pkg, a.Pos(), "tensor.%s dimension %d is negative (fails at run time)", name, d.val)
 			return dims
 		}
 	}
@@ -777,7 +723,7 @@ func (w *shapeWalker) reshape(call *ast.CallExpr, env *shapeEnv, name string, re
 		got *= d
 	}
 	if want != got {
-		w.eng.reportf(call.Pos(), "tensor.%s: new dims multiply to %d but the tensor has %d elements (fails at run time)", name, got, want)
+		w.eng.add(w.pkg, call.Pos(), "tensor.%s: new dims multiply to %d but the tensor has %d elements (fails at run time)", name, got, want)
 	}
 	return dims
 }
@@ -799,7 +745,7 @@ func (w *shapeWalker) checkRowVector(call *ast.CallExpr, env *shapeEnv, recv ash
 		size *= d
 	}
 	if size != cols.val {
-		w.eng.reportf(call.Pos(), "tensor.(*Tensor).AddRowVector: vector has %d elements but the tensor has %d columns (fails at run time)", size, cols.val)
+		w.eng.add(w.pkg, call.Pos(), "tensor.(*Tensor).AddRowVector: vector has %d elements but the tensor has %d columns (fails at run time)", size, cols.val)
 	}
 }
 
@@ -812,9 +758,9 @@ func (w *shapeWalker) dimsShape(args []ast.Expr, env *shapeEnv) ashape {
 	return knownShape(dims)
 }
 
-// summarize joins the return-site shapes into the function's exported
-// transfer summary, or nil when nothing rank-stable is derivable.
-func (w *shapeWalker) summarize() *ShapeTransfer {
+// summarize joins the return-site shapes into the function's transfer
+// summary, or nil when nothing rank-stable is derivable.
+func (w *shapeWalker) summarize() *ashape {
 	if w.retIdx < 0 || w.naked || len(w.rets) == 0 {
 		return nil
 	}
@@ -825,23 +771,7 @@ func (w *shapeWalker) summarize() *ShapeTransfer {
 	if !s.known {
 		return nil
 	}
-	refs := make([]DimRef, len(s.dims))
-	for i, d := range s.dims {
-		switch d.kind {
-		case dimConst:
-			refs[i] = DimRef{Kind: "const", Value: d.val}
-		case dimSym:
-			switch d.sym.kind {
-			case symIntParam:
-				refs[i] = DimRef{Kind: "arg", Arg: d.sym.arg}
-			case symTensorDim:
-				refs[i] = DimRef{Kind: "argdim", Arg: d.sym.arg, Dim: d.sym.dim}
-			}
-		default:
-			refs[i] = DimRef{Kind: "unknown"}
-		}
-	}
-	return &ShapeTransfer{Dims: refs}
+	return &s
 }
 
 // paramTensor resolves an expression to a tensor parameter's flat index, or

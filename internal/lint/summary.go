@@ -1,12 +1,11 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -14,40 +13,176 @@ import (
 // small monotone lattice of facts per function (may block, may block
 // forever, allocation sites, locks acquired, context usage) propagated to a
 // fixpoint, plus a second flow pass deriving lock-acquisition-order pairs
-// once transitive acquire sets are stable. The four whole-program analyzers
-// are thin views over these summaries.
+// once transitive acquire sets are stable. The whole-program analyzers are
+// thin views over these summaries.
 
-// IPA is one package's interprocedural analysis state: the call graph and a
-// summary per function node, shared by every whole-program analyzer of a
-// Run via Pass.IPA.
+// IPA is the interprocedural analysis state of one run: a call graph and a
+// summary per function node over every analyzed package, shared by the
+// whole-program analyzers through Pass.IPA. AnalyzeModule builds one over
+// the whole module; Run builds the one-package case.
 type IPA struct {
-	Pkg   *Package
 	Graph *CallGraph
 
-	// shape is the lazily-built shapeflow engine (shapeflow.go), shared so
-	// the analyzer and summary export analyze each function once.
+	// pkgs are the analyzed packages in dependency order. deps maps each
+	// to the analyzed packages it imports, directly or transitively: the
+	// only packages whose facts its findings may use.
+	pkgs []*Package
+	deps map[*Package][]*Package
+
+	// shape is the lazily-built shapeflow engine (shapeflow.go).
 	shape *shapeEngine
 
 	// flows memoizes per-function flow graphs (cfg.go), the IR every
-	// flow-sensitive analyzer and summary export shares.
+	// flow-sensitive analyzer shares.
 	flows map[*FuncNode]*FlowGraph
 
 	// chans is the lazily-built chanlife engine (chanlife.go); atoms the
-	// package's atomic/plain access census (atomicmix.go).
-	chans *chanEngine
-	atoms *atomicCensus
+	// atomic/plain access census (atomicmix.go); allocs memoizes
+	// exportedAllocs.
+	chans  *chanEngine
+	atoms  *atomicCensus
+	allocs map[*FuncNode][]Site
 }
 
-func buildIPA(pkg *Package) *IPA {
-	g := buildCallGraph(pkg)
-	for _, n := range g.Nodes {
-		n.summary = gatherFacts(pkg, g, n)
+// buildIPA links pkgs, which must be in dependency order. Imports are
+// acyclic, so the summary fixpoint is solved one package at a time,
+// bottom-up: every cross-package callee's facts are final before any of its
+// callers read them.
+func buildIPA(pkgs []*Package) *IPA {
+	g := buildCallGraph(pkgs)
+	for _, pkg := range pkgs {
+		nodes := g.NodesOf(pkg)
+		for _, n := range nodes {
+			n.summary = gatherFacts(n)
+		}
+		propagate(nodes)
+		for _, n := range nodes {
+			computePairs(g, n)
+		}
 	}
-	propagate(g)
-	for _, n := range g.Nodes {
-		computePairs(pkg, g, n)
+	return &IPA{
+		Graph:  g,
+		pkgs:   pkgs,
+		deps:   importClosure(pkgs),
+		flows:  make(map[*FuncNode]*FlowGraph),
+		allocs: make(map[*FuncNode][]Site),
 	}
-	return &IPA{Pkg: pkg, Graph: g}
+}
+
+// importClosure maps each package to the analyzed packages it imports,
+// directly or transitively, in dependency order. pkgs is in dependency
+// order, so an import's closure is complete before its importers read it.
+func importClosure(pkgs []*Package) map[*Package][]*Package {
+	byTypes := make(map[*types.Package]*Package, len(pkgs))
+	for _, p := range pkgs {
+		byTypes[p.Types] = p
+	}
+	sets := make(map[*Package]map[*Package]bool, len(pkgs))
+	deps := make(map[*Package][]*Package, len(pkgs))
+	for _, p := range pkgs {
+		set := make(map[*Package]bool)
+		for _, imp := range p.Types.Imports() {
+			if q := byTypes[imp]; q != nil {
+				set[q] = true
+				for r := range sets[q] {
+					set[r] = true
+				}
+			}
+		}
+		sets[p] = set
+		for _, q := range pkgs {
+			if set[q] {
+				deps[p] = append(deps[p], q)
+			}
+		}
+	}
+	return deps
+}
+
+// findingSet buffers an engine's diagnostics under the package that owns
+// the function they were found in, deduplicated by value: a site checked
+// along several evaluation paths reports once. Its zero value is ready.
+type findingSet struct {
+	byPkg map[*Package][]finding
+	seen  map[finding]bool
+}
+
+type finding struct {
+	pos token.Pos
+	msg string
+}
+
+func (fs *findingSet) add(pkg *Package, pos token.Pos, format string, args ...any) {
+	f := finding{pos, fmt.Sprintf(format, args...)}
+	if fs.seen[f] {
+		return
+	}
+	if fs.seen == nil {
+		fs.seen = make(map[finding]bool)
+		fs.byPkg = make(map[*Package][]finding)
+	}
+	fs.seen[f] = true
+	fs.byPkg[pkg] = append(fs.byPkg[pkg], f)
+}
+
+// report emits the buffered findings of the package under analysis.
+func (fs *findingSet) report(pass *Pass) {
+	for _, f := range fs.byPkg[pass.pkg] {
+		pass.Reportf(f.pos, "%s", f.msg)
+	}
+}
+
+// allocSites returns n's allocation sites as its own package sees them: its
+// own sites, plus one "call into" site per call to another package's
+// function that allocates, anchored at the call.
+func (ipa *IPA) allocSites(n *FuncNode) []Site {
+	sites := slices.Clip(n.summary.AllocSites)
+	for _, c := range n.Calls {
+		if c.Callee.Pkg == n.Pkg {
+			continue
+		}
+		sub := ipa.exportedAllocs(c.Callee)
+		if len(sub) == 0 {
+			continue
+		}
+		what := "call into " + shortFuncName(c.Callee.Fn) + " (" + sub[0].What + " at " + shortLoc(c.Callee.Pkg.Fset, sub[0].Pos)
+		if len(sub) > 1 {
+			what += fmt.Sprintf(", +%d more allocation sites", len(sub)-1)
+		}
+		sites = append(sites, Site{c.Pos, what + ")"})
+	}
+	return sites
+}
+
+// exportedAllocs returns the allocation sites a caller in another package
+// reaches through n: allocSites of n and of every same-package function it
+// can reach (call, defer, and reference edges, as hotalloc walks them),
+// minus the sites a //lint:ignore hotalloc in n's package justifies — so a
+// dependency's documented exception does not resurface in its callers.
+func (ipa *IPA) exportedAllocs(n *FuncNode) []Site {
+	if out, ok := ipa.allocs[n]; ok {
+		return out
+	}
+	var out []Site
+	seen := map[*FuncNode]bool{n: true}
+	queue := []*FuncNode{n}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for _, site := range ipa.allocSites(cur) {
+			if !n.Pkg.justified(site.Pos, "hotalloc") {
+				out = append(out, site)
+			}
+		}
+		for _, c := range cur.Calls {
+			if c.Callee.Pkg == n.Pkg && !seen[c.Callee] {
+				seen[c.Callee] = true
+				queue = append(queue, c.Callee)
+			}
+		}
+	}
+	ipa.allocs[n] = out
+	return out
 }
 
 // Summary returns the node's computed summary.
@@ -85,12 +220,12 @@ type Summary struct {
 
 	// BlocksForever / Blocks are the transitive closures of the site
 	// lists. ForeverWhat/ForeverPos describe a representative ultimate
-	// site for reporting; ForeverVia names the direct callee the fact
-	// arrived through ("" when the site is the function's own).
+	// site for reporting; ForeverVia is the direct callee the fact arrived
+	// through (nil when the site is the function's own).
 	BlocksForever bool
 	ForeverWhat   string
 	ForeverPos    token.Pos
-	ForeverVia    string
+	ForeverVia    *FuncNode
 	Blocks        bool
 
 	// CtxParams are the function's named context.Context parameters;
@@ -103,7 +238,8 @@ type Summary struct {
 // gatherFacts collects a node's own facts with one syntactic walk. Nested
 // function literals are separate nodes and are skipped, except that the
 // literal expression itself is an allocation in the encloser.
-func gatherFacts(pkg *Package, g *CallGraph, n *FuncNode) *Summary {
+func gatherFacts(n *FuncNode) *Summary {
+	pkg := n.Pkg
 	s := &Summary{
 		OwnLocks: make(map[string]token.Pos),
 		Acquires: make(map[string]token.Pos),
@@ -331,40 +467,7 @@ func gatherCallFacts(pkg *Package, s *Summary, call *ast.CallExpr) {
 			s.AllocSites = append(s.AllocSites, Site{call.Pos(), "fmt." + name + " call"})
 		}
 	}
-	if pkg.deps != nil {
-		if fs := pkg.deps.Lookup(fn); fs != nil {
-			foldExternalCall(s, call.Pos(), fs)
-		}
-	}
 	gatherBoxingFacts(pkg, s, call, fn)
-}
-
-// foldExternalCall imports an in-module external callee's serialized facts
-// into the calling function's own site lists, anchored at the local call
-// position (the remote location travels in the message text, since the
-// callee's token positions belong to another package's files).
-func foldExternalCall(s *Summary, pos token.Pos, fs *FuncSummary) {
-	name := shortFuncKey(fs.Key)
-	if fs.BlocksForever {
-		what := "call to " + name + ": " + fs.ForeverWhat + " at " + fs.ForeverLoc
-		s.ForeverSites = append(s.ForeverSites, Site{pos, what})
-		s.BlockSites = append(s.BlockSites, Site{pos, what})
-	} else if fs.Blocks {
-		s.BlockSites = append(s.BlockSites, Site{pos, "call to " + name + " (may block)"})
-	}
-	if len(fs.Allocs) > 0 {
-		what := "call into " + name + " (" + fs.Allocs[0].What + " at " + fs.Allocs[0].Loc
-		if extra := len(fs.Allocs) - 1 + fs.AllocsTruncated; extra > 0 {
-			what += fmt.Sprintf(", +%d more allocation sites", extra)
-		}
-		what += ")"
-		s.AllocSites = append(s.AllocSites, Site{pos, what})
-	}
-	for _, a := range fs.Acquires {
-		if _, ok := s.Acquires[a.ID]; !ok {
-			s.Acquires[a.ID] = pos
-		}
-	}
 }
 
 // gatherBoxingFacts flags interface boxing and variadic slices at a call
@@ -588,307 +691,20 @@ func namedTypeName(t types.Type) string {
 	return ""
 }
 
-// --- Serialized summaries (the cross-package linking currency) --------------
-//
-// A package's analysis exports one FuncSummary per declared function, keyed
-// by object path ("darnet/internal/wire.(*Conn).Send"). The summaries are
-// position-independent — source locations are carried as short "file.go:42"
-// strings — so they serialize, and the module analysis links packages by
-// decoding the summaries of already-analyzed dependencies rather than by
-// sharing AST pointers. That keeps the linking contract narrow and testable:
-// EncodeSummaries∘DecodeSummaries is the only channel between packages.
-
-// FuncSummary is the serializable projection of one function's fixpoint
-// summary: what callers in other packages need to know, and nothing tied to
-// this package's FileSet.
-type FuncSummary struct {
-	Key string `json:"key"`
-
-	Blocks        bool   `json:"blocks,omitempty"`
-	BlocksForever bool   `json:"blocksForever,omitempty"`
-	ForeverWhat   string `json:"foreverWhat,omitempty"`
-	ForeverLoc    string `json:"foreverLoc,omitempty"`
-
-	// Allocs are the function's transitive allocation sites (its own plus
-	// everything reachable through calls, already folded cross-package),
-	// filtered of sites justified by //lint:ignore hotalloc directives and
-	// capped; AllocsTruncated counts the overflow.
-	Allocs          []SiteRef `json:"allocs,omitempty"`
-	AllocsTruncated int       `json:"allocsTruncated,omitempty"`
-
-	// Acquires are the lock identities transitively acquired; Pairs the
-	// held→acquired order edges (minus //lint:ignore lockorder sites).
-	Acquires []LockRef `json:"acquires,omitempty"`
-	Pairs    []PairRef `json:"pairs,omitempty"`
-
-	// Shape is the function's shape-transfer summary when its tensor
-	// result is derivable from its inputs (see shapeflow.go).
-	Shape *ShapeTransfer `json:"shape,omitempty"`
-
-	// ChanOps are the function's proven effects on its channel parameters
-	// ("mustclose"/"mayclose"/"maysend" by parameter index), the linking
-	// currency of the chanlife analyzer (chanlife.go).
-	ChanOps []ChanOpRef `json:"chanOps,omitempty"`
-
-	// AtomicRefs/PlainRefs are the function's sync/atomic and plain
-	// accesses to exported atomic-capable identities (atomicmix.go),
-	// deduplicated per identity and capped at exportAccessCap.
-	AtomicRefs []AccessRef `json:"atomicRefs,omitempty"`
-	PlainRefs  []AccessRef `json:"plainRefs,omitempty"`
-}
-
-// ChanOpRef is one channel-parameter effect: Op is "mustclose" (closed on
-// every modeled path, including by defer), "mayclose" (closed on some
-// path), or "maysend" (a send on the parameter exists).
-type ChanOpRef struct {
-	Op    string `json:"op"`
-	Param int    `json:"param"`
-	Loc   string `json:"loc"`
-}
-
-// AccessRef is one atomic or plain access to a shared identity
-// ("pkg/path.Type.field" or "pkg/path.var").
-type AccessRef struct {
-	ID    string `json:"id"`
-	Loc   string `json:"loc"`
-	Write bool   `json:"write,omitempty"`
-}
-
-// SiteRef is a fact site with its location rendered for cross-package use.
-type SiteRef struct {
-	What string `json:"what"`
-	Loc  string `json:"loc"`
-}
-
-// LockRef names one acquired lock identity.
-type LockRef struct {
-	ID  string `json:"id"`
-	Loc string `json:"loc"`
-}
-
-// PairRef is one lock-order edge: First was held while Second was acquired.
-type PairRef struct {
-	First  string `json:"first"`
-	Second string `json:"second"`
-	Loc    string `json:"loc"`
-}
-
-// PkgSummaries is every exported summary of one analyzed package.
-type PkgSummaries struct {
-	Path  string                  `json:"path"`
-	Funcs map[string]*FuncSummary `json:"funcs"`
-}
-
-// EncodeSummaries serializes a package's summaries (deterministically:
-// maps marshal with sorted keys).
-func EncodeSummaries(ps *PkgSummaries) ([]byte, error) {
-	return json.Marshal(ps)
-}
-
-// DecodeSummaries is the inverse of EncodeSummaries.
-func DecodeSummaries(data []byte) (*PkgSummaries, error) {
-	ps := &PkgSummaries{}
-	if err := json.Unmarshal(data, ps); err != nil {
-		return nil, fmt.Errorf("lint: decode summaries: %w", err)
-	}
-	return ps, nil
-}
-
-// FuncKey renders a function object's path-qualified identity, the key
-// serialized summaries are linked by: "pkg/path.Name" for functions,
-// "pkg/path.(*T).Name" for methods.
-func FuncKey(fn *types.Func) string {
-	if fn.Pkg() == nil {
-		return fn.Name()
-	}
-	return fn.Pkg().Path() + "." + funcDisplayName(fn)
-}
-
-// shortFuncKey trims the key's package path to its last segment for
-// readable messages: "wire.(*Conn).Send".
-func shortFuncKey(key string) string {
-	slash := strings.LastIndexByte(key, '/')
-	return key[slash+1:]
-}
-
-// exportAllocCap bounds the transitive allocation list carried per function;
-// the overflow is summarized as a count.
-const exportAllocCap = 8
-
-// ExportSummaries projects a package's fixpoint summaries into the
-// serializable form. Allocation sites justified by //lint:ignore hotalloc
-// and lock pairs justified by //lint:ignore lockorder are dropped here, so
-// a dependency's documented exceptions do not resurface as findings in its
-// callers.
-func ExportSummaries(pkg *Package) *PkgSummaries {
-	ipa := pkg.ipa()
-	ig := pkg.ignores()
-	ps := &PkgSummaries{Path: pkg.Path, Funcs: make(map[string]*FuncSummary)}
-	for _, n := range ipa.Graph.Nodes {
-		if n.Fn == nil {
-			continue // literals are reachable only through their encloser
-		}
-		s := n.Summary()
-		fs := &FuncSummary{
-			Key:           FuncKey(n.Fn),
-			Blocks:        s.Blocks,
-			BlocksForever: s.BlocksForever,
-		}
-		if s.BlocksForever {
-			fs.ForeverWhat = s.ForeverWhat
-			fs.ForeverLoc = shortLoc(pkg.Fset, s.ForeverPos)
-		}
-		fs.Allocs, fs.AllocsTruncated = transitiveAllocs(pkg, ig, n)
-		for _, id := range sortedKeys(s.Acquires) {
-			fs.Acquires = append(fs.Acquires, LockRef{ID: id, Loc: shortLoc(pkg.Fset, s.Acquires[id])})
-		}
-		for _, key := range sortedPairKeys(s.Pairs) {
-			pos := s.Pairs[key]
-			if ig.suppressed(Diagnostic{Pos: pkg.Fset.Position(pos), Rule: "lockorder"}) {
-				continue
-			}
-			fs.Pairs = append(fs.Pairs, PairRef{First: key[0], Second: key[1], Loc: shortLoc(pkg.Fset, pos)})
-		}
-		fs.Shape = ipa.shapeEngine().transferFor(n)
-		fs.ChanOps = exportChanOps(ipa, n)
-		fs.AtomicRefs, fs.PlainRefs = exportAccessRefs(pkg, ig, ipa, n)
-		ps.Funcs[fs.Key] = fs
-	}
-	return ps
-}
-
-// exportChanOps projects a function's channel-parameter effects into the
-// serialized form, strongest close fact first per parameter.
-func exportChanOps(ipa *IPA, n *FuncNode) []ChanOpRef {
-	eff := ipa.chanEngine().effectsFor(n)
-	if eff == nil || len(eff.params) == 0 {
-		return nil
-	}
-	idxs := make([]int, 0, len(eff.params))
-	for i := range eff.params {
-		idxs = append(idxs, i)
-	}
-	sort.Ints(idxs)
-	var out []ChanOpRef
-	for _, i := range idxs {
-		pe := eff.params[i]
-		loc := shortLoc(ipa.Pkg.Fset, pe.pos)
-		switch {
-		case pe.mustClose:
-			out = append(out, ChanOpRef{Op: "mustclose", Param: i, Loc: loc})
-		case pe.mayClose:
-			out = append(out, ChanOpRef{Op: "mayclose", Param: i, Loc: loc})
-		}
-		if pe.maySend {
-			out = append(out, ChanOpRef{Op: "maysend", Param: i, Loc: loc})
-		}
-	}
-	return out
-}
-
-// exportAccessCap bounds the atomic/plain access refs carried per function.
-const exportAccessCap = 8
-
-// exportAccessRefs projects a function's accesses to exported
-// atomic-capable identities, one ref per identity per side, minus accesses
-// justified by //lint:ignore atomicmix (so a dependency's documented mix
-// does not resurface in its importers).
-func exportAccessRefs(pkg *Package, ig *ignoreSet, ipa *IPA, n *FuncNode) (atomics, plains []AccessRef) {
-	census := ipa.atomicCensus()
-	seenA := map[string]bool{}
-	seenP := map[string]bool{}
-	for _, a := range census.accesses {
-		if a.node != n || !a.exported {
-			continue
-		}
-		if ig.suppressed(Diagnostic{Pos: pkg.Fset.Position(a.pos), Rule: "atomicmix"}) {
-			continue
-		}
-		ref := AccessRef{ID: a.id, Loc: shortLoc(pkg.Fset, a.pos), Write: a.write}
-		switch a.kind {
-		case accessAtomic:
-			if !seenA[a.id] && len(atomics) < exportAccessCap {
-				seenA[a.id] = true
-				atomics = append(atomics, ref)
-			}
-		case accessPlain:
-			if !seenP[a.id] && len(plains) < exportAccessCap {
-				seenP[a.id] = true
-				plains = append(plains, ref)
-			}
-		}
-	}
-	return atomics, plains
-}
-
-// transitiveAllocs walks the call graph from n (call, defer, and reference
-// edges — the same reachability hotalloc polices) collecting allocation
-// sites, minus hotalloc-suppressed ones, capped at exportAllocCap.
-func transitiveAllocs(pkg *Package, ig *ignoreSet, n *FuncNode) ([]SiteRef, int) {
-	seen := map[*FuncNode]bool{n: true}
-	queue := []*FuncNode{n}
-	var out []SiteRef
-	truncated := 0
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, site := range cur.Summary().AllocSites {
-			if ig.suppressed(Diagnostic{Pos: pkg.Fset.Position(site.Pos), Rule: "hotalloc"}) {
-				continue
-			}
-			if len(out) < exportAllocCap {
-				out = append(out, SiteRef{What: site.What, Loc: shortLoc(pkg.Fset, site.Pos)})
-			} else {
-				truncated++
-			}
-		}
-		for _, c := range cur.Calls {
-			if !seen[c.Callee] {
-				seen[c.Callee] = true
-				queue = append(queue, c.Callee)
-			}
-		}
-	}
-	return out, truncated
-}
-
 // shortLoc renders a position as "file.go:42".
 func shortLoc(fset *token.FileSet, pos token.Pos) string {
 	p := fset.Position(pos)
 	return fmt.Sprintf("%s:%d", shortPath(p.Filename), p.Line)
 }
 
-func sortedKeys(m map[string]token.Pos) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedPairKeys(m map[[2]string]token.Pos) [][2]string {
-	out := make([][2]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
-}
-
 // propagate folds callee facts into callers until the lattice stabilizes.
 // The lattice is finite (booleans plus bounded lock sets), every transfer is
 // monotone, and each pass visits nodes in deterministic order, so the loop
 // terminates with deterministic results.
-func propagate(g *CallGraph) {
+func propagate(nodes []*FuncNode) {
 	for changed := true; changed; {
 		changed = false
-		for _, n := range g.Nodes {
+		for _, n := range nodes {
 			s := n.summary
 			if !s.BlocksForever && len(s.ForeverSites) > 0 {
 				s.BlocksForever = true
@@ -909,7 +725,7 @@ func propagate(g *CallGraph) {
 					s.BlocksForever = true
 					s.ForeverWhat = cs.ForeverWhat
 					s.ForeverPos = cs.ForeverPos
-					s.ForeverVia = c.Callee.Name
+					s.ForeverVia = c.Callee
 					changed = true
 				}
 				if cs.Blocks && !s.Blocks {

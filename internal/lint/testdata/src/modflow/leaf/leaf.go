@@ -2,8 +2,8 @@
 // leaf): it owns a counter that dependents manage with sync/atomic and a
 // shutdown helper that closes its argument. Neither fact is a finding here
 // — the mix and the double close only materialize one or two packages up,
-// and only when the module analysis links the serialized channel-op and
-// access summaries across package boundaries.
+// and only when the module analysis links the channel effects and accesses
+// across package boundaries.
 package leaf
 
 // Live counts active consumers. Package mid increments it with
@@ -16,7 +16,7 @@ var Live int64
 var Seen int64
 
 // Halt closes its argument: callers must not close it again. The close
-// travels as a `mustclose` channel op in Halt's serialized summary.
+// travels as a must-close effect in Halt's channel summary.
 func Halt(ch chan int) {
 	close(ch)
 }

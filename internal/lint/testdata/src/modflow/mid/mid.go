@@ -1,6 +1,6 @@
 // Package mid is the middle of the modflow fixture tree: it manages
 // leaf.Live atomically (the atomic side of the cross-package mix) and
-// forwards shutdown to leaf.Halt, inheriting — and re-exporting — the
+// forwards shutdown to leaf.Halt, inheriting — and passing on — the
 // must-close effect through its own summary.
 package mid
 
@@ -10,8 +10,8 @@ import (
 	"darnet/internal/lintfixture/modflow/leaf"
 )
 
-// Bump counts one consumer in. The atomic access is recorded in Bump's
-// summary keyed by leaf.Live's position-independent identity.
+// Bump counts one consumer in. The atomic access is recorded under
+// leaf.Live's type-level identity.
 func Bump() {
 	atomic.AddInt64(&leaf.Live, 1)
 	atomic.AddInt64(&leaf.Seen, 1)

@@ -1,7 +1,7 @@
 // Package leaf is the bottom of the modipa fixture tree (root -> mid ->
 // leaf). The facts recorded here — a forever-blocking wait, an allocation,
 // a lock-order edge — surface as findings one or two packages up only when
-// the module analysis links serialized summaries across package boundaries.
+// the module analysis links the packages into one call graph.
 package leaf
 
 import "sync"
@@ -41,8 +41,8 @@ func Grow() []byte {
 }
 
 // Scratch allocates a documented startup-only buffer. The ignore directive
-// is honored at summary export: callers never see this site, so the
-// justification does not resurface as a finding in dependent packages.
+// holds for callers in other packages too: the justification does not
+// resurface as a finding in dependent packages.
 func Scratch() []byte {
 	//lint:ignore hotalloc one-time warmup buffer, measured at startup
 	return make([]byte, 4096)

@@ -1,5 +1,5 @@
-// Package mid relays leaf facts upward: its exported summaries fold leaf's,
-// so the root package observes leaf's behavior at one remove — the shape the
+// Package mid relays leaf facts upward: its functions reach leaf's, so the
+// root package observes leaf's behavior at one remove — the shape the
 // transitive linking has to get right.
 package mid
 
@@ -13,8 +13,8 @@ func Refill() []byte {
 	return leaf.Grow()
 }
 
-// Warm relays leaf's justified allocation; leaf's export already filtered
-// the site, so this function's summary is allocation-free.
+// Warm relays leaf's justified allocation; leaf's directive covers the
+// site, so callers of this function see no allocation.
 func Warm() []byte {
 	return leaf.Scratch()
 }
@@ -30,7 +30,7 @@ func Watch() {
 }
 
 // Embed returns an (n, 64) lookup table; the constant width travels to
-// callers in the serialized shape-transfer summary.
+// callers in Embed's shape-transfer summary.
 func Embed(n int) *tensor.Tensor {
 	return tensor.New(n, 64)
 }

@@ -1,5 +1,5 @@
 // Package root sits two imports above leaf. Every finding in this file
-// requires the module-linked summaries (TestModuleLinkedFindings asserts
+// requires the module-linked call graph (TestModuleLinkedFindings asserts
 // they appear) and vanishes under per-package analysis
 // (TestModuleFindingsVanishPerPackage asserts they do not).
 package root
@@ -25,7 +25,7 @@ func Refresh(t *Table, ix *leaf.Index) {
 }
 
 // Monitor spawns a watcher that can never wake up; the forever fact arrives
-// through mid's serialized summary.
+// through mid.Watch's summary.
 func Monitor() {
 	go mid.Watch() // module finding: goleak through two packages
 }
@@ -39,8 +39,8 @@ func Encode() {
 }
 
 // EncodeWarm stays silent even module-linked: leaf justified the allocation
-// with //lint:ignore hotalloc, and the export filter keeps it out of the
-// summaries callers fold.
+// with //lint:ignore hotalloc, and the directive holds for callers in other
+// packages.
 //
 //lint:hotpath
 func EncodeWarm() {
@@ -57,7 +57,7 @@ func Pack() {
 }
 
 // Project multiplies an embedding against a projection whose width cannot
-// match — provable only with mid.Embed's serialized shape transfer.
+// match — provable only with mid.Embed's shape transfer.
 func Project() *tensor.Tensor {
 	w := tensor.New(32, 10)
 	return tensor.MustMatMul(mid.Embed(8), w) // module finding: shapeflow 64 vs 32
