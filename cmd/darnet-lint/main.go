@@ -44,7 +44,7 @@ func main() {
 	timings := flag.Bool("timings", false, "report per-phase and per-analyzer wall time on stderr")
 	flag.Parse()
 
-	analyzers := lint.AllModule()
+	analyzers := lint.All()
 	if *list {
 		for _, a := range analyzers {
 			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
@@ -117,5 +117,5 @@ func run(patterns []string) (*lint.ModuleResult, error) {
 			}
 		}
 	}
-	return lint.AnalyzeModule(loader, pkgs, lint.AllModule())
+	return lint.AnalyzeModule(loader, pkgs, lint.All())
 }

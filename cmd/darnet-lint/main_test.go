@@ -24,7 +24,7 @@ var fixtureDirs = []string{
 // as one linked unit; the fixtures import none of each other, so both
 // scopes must also agree.
 func TestDriverOutputDeterministic(t *testing.T) {
-	analyzers := lint.AllModule()
+	analyzers := lint.All()
 	var texts []string
 	for _, scope := range []string{"pkg", "module"} {
 		t.Run(scope, func(t *testing.T) {

@@ -27,8 +27,7 @@ import (
 // Close effects cross function boundaries: a callee that provably closes a
 // channel parameter carries that fact in its effect summary, so a
 // `close(ch)` after `otherpkg.Shutdown(ch)` is a finding even though the
-// two closes live in different packages. The analyzer is registered at
-// module scope (registry AllModule).
+// two closes live in different packages.
 var Chanlife = &Analyzer{
 	Name: "chanlife",
 	Doc:  "channel lifecycle states (nil/open/closed) propagated flow-sensitively must not reach close-of-closed, send-after-close, or orphaned sends",
@@ -890,19 +889,9 @@ func (w *chanWalker) orphanCheck(blk *Block, idx int, g *ast.GoStmt, env chanEnv
 }
 
 // litBareSendsOn reports whether the literal's body contains a bare
-// (non-select) send on v, outside nested literals.
+// (non-select) send on v, outside nested literals. The literal is nested in
+// the walker's body, so its select comms are already in selectComm.
 func (w *chanWalker) litBareSendsOn(lit *ast.FuncLit, v *types.Var) bool {
-	exempt := make(map[ast.Node]bool)
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectStmt); ok {
-			for _, c := range sel.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					markSelectComm(exempt, cc.Comm)
-				}
-			}
-		}
-		return true
-	})
 	found := false
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if found {
@@ -912,7 +901,7 @@ func (w *chanWalker) litBareSendsOn(lit *ast.FuncLit, v *types.Var) bool {
 		case *ast.FuncLit:
 			return x == lit
 		case *ast.SendStmt:
-			if exempt[x] {
+			if w.selectComm[x] {
 				return true
 			}
 			if id, ok := ast.Unparen(x.Chan).(*ast.Ident); ok {

@@ -1,7 +1,5 @@
 package lint
 
-import "strconv"
-
 // Goleak reports `go` statements that spawn a goroutine able to block
 // forever on a channel operation (or a lost sync.WaitGroup/Cond wake-up)
 // with no cancellation or close path — the bug class behind darnetd's
@@ -29,8 +27,7 @@ func runGoleak(pass *Pass) {
 				if !s.BlocksForever {
 					continue
 				}
-				loc := pass.Fset.Position(s.ForeverPos)
-				site := pass.formatShortPos(loc.Filename, loc.Line)
+				site := shortLoc(pass.Fset, s.ForeverPos)
 				via := ""
 				if s.ForeverVia != nil {
 					via = " (reached via " + pass.funcName(s.ForeverVia) + ")"
@@ -44,10 +41,4 @@ func runGoleak(pass *Pass) {
 			}
 		}
 	}
-}
-
-// formatShortPos renders file:line with the file trimmed to its base name,
-// keeping messages stable across checkouts.
-func (p *Pass) formatShortPos(filename string, line int) string {
-	return shortPath(filename) + ":" + strconv.Itoa(line)
 }

@@ -87,7 +87,7 @@ func (ig *ignoreSet) suppressed(d Diagnostic) bool {
 // unused returns one diagnostic per directive that suppressed nothing,
 // restricted to rules the run actually exercised: an ignore for an
 // analyzer that was skipped this invocation is not stale, it is dormant.
-// Directives naming a rule no registry knows are always reported.
+// Directives naming a rule the registry does not know are always reported.
 func (ig *ignoreSet) unused(ran map[string]bool, known map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, e := range ig.entries {

@@ -38,8 +38,8 @@ func fixtures() []fixtureCase {
 		{analyzer: lint.Errdrop, fixture: "errdropexamples", importPath: "darnet/examples/lintfixture/errdropexamples"},
 		{analyzer: lint.Globalrand, fixture: "globalrand", importPath: base + "globalrand"},
 		{analyzer: lint.Ctxsleep, fixture: "ctxsleep", importPath: base + "ctxsleep"},
-		{analyzer: lint.Shapecheck, fixture: "shapecheck", importPath: base + "shapecheck"},
 		{analyzer: lint.Shapeflow, fixture: "shapeflow", importPath: base + "shapeflow"},
+		{analyzer: lint.Shapeflow, fixture: "shapecheck", importPath: base + "shapecheck"},
 		{analyzer: lint.Metricname, fixture: "metricname", importPath: base + "metricname"},
 		{analyzer: lint.Goleak, fixture: "goleak", importPath: base + "goleak"},
 		{analyzer: lint.Lockorder, fixture: "lockorder", importPath: base + "lockorder"},
@@ -61,6 +61,31 @@ func TestAnalyzersAgainstFixtures(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			runFixture(t, tc)
 		})
+	}
+}
+
+// TestRegistryHasFixtures: every registered analyzer has a fixtures() case
+// with at least one want, so merging or moving a rule cannot silently drop
+// its fixture.
+func TestRegistryHasFixtures(t *testing.T) {
+	loader, err := sharedLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	covered := make(map[string]bool)
+	for _, tc := range fixtures() {
+		pkg, err := loader.LoadDir(filepath.Join("testdata", "src", tc.fixture), tc.importPath)
+		if err != nil {
+			t.Fatalf("load fixture %s: %v", tc.fixture, err)
+		}
+		if len(collectWants(t, pkg, true)) > 0 {
+			covered[tc.analyzer.Name] = true
+		}
+	}
+	for _, a := range lint.All() {
+		if !covered[a.Name] {
+			t.Errorf("analyzer %s has no fixtures() case with a // want", a.Name)
+		}
 	}
 }
 

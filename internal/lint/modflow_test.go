@@ -35,7 +35,7 @@ func TestModflowLinkedFindings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	res, err := lint.AnalyzeModule(loader, modflowPkgs(modflowDir), lint.AllModule())
+	res, err := lint.AnalyzeModule(loader, modflowPkgs(modflowDir), lint.All())
 	if err != nil {
 		t.Fatalf("AnalyzeModule: %v", err)
 	}
@@ -65,9 +65,9 @@ func TestModflowLinkedFindings(t *testing.T) {
 	}
 }
 
-// TestModflowFindingsVanishPerPackage is the negative half, and stronger
-// than registry membership: even with the module-scope analyzers running,
-// the one-package engine (lint.Run) misses both seeded findings —
+// TestModflowFindingsVanishPerPackage is the negative half: with the full
+// registry running, the one-package engine (lint.Run) misses both seeded
+// findings —
 // root alone has no atomic side for the mix, and mid.Stop degrades to the
 // effect-free external-callee assumption without its linked node.
 func TestModflowFindingsVanishPerPackage(t *testing.T) {
@@ -84,7 +84,6 @@ func TestModflowFindingsVanishPerPackage(t *testing.T) {
 		}
 		loader.RegisterSource(pkg)
 		diags = append(diags, lint.Run(pkg, lint.All())...)
-		diags = append(diags, lint.Run(pkg, lint.AllModule())...)
 	}
 	if len(diags) != 0 {
 		t.Fatalf("per-package analysis must miss the cross-package concurrency findings, got %v", diags)
@@ -93,16 +92,15 @@ func TestModflowFindingsVanishPerPackage(t *testing.T) {
 
 // TestModuleQboundMutationStream is the qbound acceptance check against
 // real code: deleting the capacity check from stream.Pipeline.Offer's
-// admission loop (the //lint:bounded depth contract) is caught at module
-// scope and structurally missed by lint.Run with All, where qbound is not
-// registered. The unmutated copy stays clean.
+// admission loop (the //lint:bounded depth contract) is caught. The
+// unmutated copy stays clean.
 func TestModuleQboundMutationStream(t *testing.T) {
 	loader, err := mutLoader()
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
 	const admission = "if d >= cap64 {\n\t\t\tp.shed(in)\n\t\t\treturn false\n\t\t}\n\t\t"
-	run := func(name string, mutate bool) (*lint.ModuleResult, *lint.Package) {
+	run := func(name string, mutate bool) *lint.ModuleResult {
 		dir := t.TempDir()
 		copyGoFiles(t, filepath.Join("..", "stream"), dir, func(file, content string) string {
 			if file == "pipeline.go" && mutate {
@@ -114,26 +112,21 @@ func TestModuleQboundMutationStream(t *testing.T) {
 			}
 			return content
 		})
-		importPath := "darnet/internal/" + name
-		res, err := lint.AnalyzeModule(loader, [][2]string{{dir, importPath}}, lint.AllModule())
+		res, err := lint.AnalyzeModule(loader, [][2]string{{dir, "darnet/internal/" + name}}, lint.All())
 		if err != nil {
 			t.Fatalf("AnalyzeModule(%s): %v", name, err)
 		}
-		pkg, err := loader.LoadDir(dir, importPath)
-		if err != nil {
-			t.Fatalf("reload %s: %v", name, err)
-		}
-		return res, pkg
+		return res
 	}
 
-	clean, _ := run("streamclean", false)
+	clean := run("streamclean", false)
 	for _, d := range clean.Diags {
 		if d.Rule == "qbound" {
 			t.Fatalf("unmutated internal/stream must be qbound-clean, got %s", d)
 		}
 	}
 
-	mut, mutPkg := run("streammut", true)
+	mut := run("streammut", true)
 	found := false
 	for _, d := range mut.Diags {
 		if d.Rule == "qbound" && strings.Contains(d.Message, "not dominated by a capacity check") {
@@ -142,11 +135,6 @@ func TestModuleQboundMutationStream(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("module analysis must catch the deleted admission check, got %v", mut.Diags)
-	}
-	for _, d := range lint.Run(mutPkg, lint.All()) {
-		if d.Rule == "qbound" {
-			t.Fatalf("per-package analysis must miss the deleted admission check, got %s", d)
-		}
 	}
 }
 
@@ -165,7 +153,7 @@ func mutateModflow(t *testing.T, mutate func(content string) string) (*lint.Modu
 		}
 		return content
 	})
-	res, err := lint.AnalyzeModule(loader, modflowPkgs(tmp), lint.AllModule())
+	res, err := lint.AnalyzeModule(loader, modflowPkgs(tmp), lint.All())
 	if err != nil {
 		t.Fatalf("AnalyzeModule: %v", err)
 	}
@@ -176,7 +164,7 @@ func mutateModflow(t *testing.T, mutate func(content string) string) (*lint.Modu
 			t.Fatalf("reload %s: %v", name, err)
 		}
 		loader.RegisterSource(pkg)
-		perPkg = append(perPkg, lint.Run(pkg, lint.AllModule())...)
+		perPkg = append(perPkg, lint.Run(pkg, lint.All())...)
 	}
 	return res, perPkg
 }

@@ -89,7 +89,7 @@ func AnalyzeModule(loader *Loader, pkgs [][2]string, analyzers []*Analyzer) (*Mo
 		ran[a.Name] = true
 	}
 	known := make(map[string]bool)
-	for _, a := range AllModule() {
+	for _, a := range All() {
 		known[a.Name] = true
 	}
 	for _, pkg := range loaded {

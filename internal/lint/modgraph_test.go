@@ -38,7 +38,7 @@ func TestModuleLinkedFindings(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	res, err := lint.AnalyzeModule(loader, modipaPkgs(modipaDir), lint.AllModule())
+	res, err := lint.AnalyzeModule(loader, modipaPkgs(modipaDir), lint.All())
 	if err != nil {
 		t.Fatalf("AnalyzeModule: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestModuleUnusedIgnores(t *testing.T) {
 	if len(quiet) != 3 || len(scratch) != 1 {
 		t.Fatalf("fixture drifted: want 3 rootquiet and 1 leaf directives, got %v and %v", quiet, scratch)
 	}
-	res, err := lint.AnalyzeModule(loader, modipaPkgs(modipaDir), lint.AllModule())
+	res, err := lint.AnalyzeModule(loader, modipaPkgs(modipaDir), lint.All())
 	if err != nil {
 		t.Fatalf("AnalyzeModule: %v", err)
 	}
@@ -237,7 +237,7 @@ func TestModuleUnusedIgnores(t *testing.T) {
 		}
 		return next
 	})
-	res, err = lint.AnalyzeModule(loader, modipaPkgs(tmp), lint.AllModule())
+	res, err = lint.AnalyzeModule(loader, modipaPkgs(tmp), lint.All())
 	if err != nil {
 		t.Fatalf("AnalyzeModule(mutated): %v", err)
 	}
@@ -308,7 +308,7 @@ func TestModuleOrderInvariance(t *testing.T) {
 		}
 		var first string
 		for i, order := range orders {
-			res, err := lint.AnalyzeModule(loader, order, lint.AllModule())
+			res, err := lint.AnalyzeModule(loader, order, lint.All())
 			if err != nil {
 				t.Fatalf("%s order %d: %v", tree.name, i, err)
 			}
@@ -338,9 +338,9 @@ func TestModuleOrderInvariance(t *testing.T) {
 }
 
 // TestModuleShapeMutationNN is the shape acceptance check: seeding a static
-// inner-dimension mismatch into internal/nn's Dense.Forward is caught by the
-// module-scope analysis (shapeflow runs there) and missed by the per-package
-// engine. The unmutated copy stays clean, guarding against false positives.
+// inner-dimension mismatch into internal/nn's Dense.Forward is caught by
+// shapeflow. The unmutated copy stays clean, guarding against false
+// positives.
 func TestModuleShapeMutationNN(t *testing.T) {
 	loader, err := mutLoader()
 	if err != nil {
@@ -350,7 +350,7 @@ func TestModuleShapeMutationNN(t *testing.T) {
 		orig    = "y, err := tensor.MatMul(x, d.w.Value)"
 		mutated = "y, err := tensor.MatMul(tensor.New(8, 3), tensor.New(4, 8))"
 	)
-	run := func(name, replace string) ([]lint.Diagnostic, *lint.Package) {
+	run := func(name, replace string) []lint.Diagnostic {
 		dir := t.TempDir()
 		hit := false
 		copyGoFiles(t, filepath.Join("..", "nn"), dir, func(file, content string) string {
@@ -367,26 +367,21 @@ func TestModuleShapeMutationNN(t *testing.T) {
 		if replace != "" && !hit {
 			t.Fatalf("dense.go not seen while copying internal/nn")
 		}
-		importPath := "darnet/internal/" + name
-		res, err := lint.AnalyzeModule(loader, [][2]string{{dir, importPath}}, lint.AllModule())
+		res, err := lint.AnalyzeModule(loader, [][2]string{{dir, "darnet/internal/" + name}}, lint.All())
 		if err != nil {
 			t.Fatalf("AnalyzeModule(%s): %v", name, err)
 		}
-		pkg, err := loader.LoadDir(dir, importPath)
-		if err != nil {
-			t.Fatalf("reload %s: %v", name, err)
-		}
-		return res.Diags, pkg
+		return res.Diags
 	}
 
-	cleanDiags, _ := run("nnclean", "")
+	cleanDiags := run("nnclean", "")
 	for _, d := range cleanDiags {
 		if d.Rule == "shapeflow" {
 			t.Fatalf("unmutated internal/nn must be shapeflow-clean, got %s", d)
 		}
 	}
 
-	mutDiags, mutPkg := run("nnmut", mutated)
+	mutDiags := run("nnmut", mutated)
 	found := false
 	for _, d := range mutDiags {
 		if d.Rule == "shapeflow" && strings.Contains(d.Message, "inner dimensions disagree: 3 vs 4") {
@@ -396,11 +391,73 @@ func TestModuleShapeMutationNN(t *testing.T) {
 	if !found {
 		t.Fatalf("module analysis must catch the seeded shape mismatch, got %v", mutDiags)
 	}
-	// The per-package engine has no shapeflow registry entry: same package,
-	// same mutation, no finding.
-	for _, d := range lint.Run(mutPkg, lint.All()) {
-		if d.Rule == "shapeflow" {
-			t.Fatalf("per-package analysis must miss the seeded shape mismatch, got %s", d)
+}
+
+// TestModuleLockMutationDurable is the acceptance check for the held-lock
+// walk behind locksafe and lockorder, run on internal/durable: the package
+// whose documented lock order nests (collect and tsdb never hold one lock
+// while taking another, so neither records an order to invert). Deleting
+// the unlock on Checkpoint's closed-manager return path must raise
+// locksafe. Taking w.syncMu inside an append, which holds w.mu, inverts
+// the documented syncMu < w.mu order and must raise lockorder. The
+// unmutated copy is clean of both rules.
+func TestModuleLockMutationDurable(t *testing.T) {
+	loader, err := mutLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	run := func(name, file, orig, mutated string) []lint.Diagnostic {
+		dir := t.TempDir()
+		hit := false
+		copyGoFiles(t, filepath.Join("..", "durable"), dir, func(f, content string) string {
+			if f != file {
+				return content
+			}
+			next := strings.Replace(content, orig, mutated, 1)
+			if next == content {
+				t.Fatalf("%s drifted: %q not found", file, orig)
+			}
+			hit = true
+			return next
+		})
+		if file != "" && !hit {
+			t.Fatalf("%s not seen while copying internal/durable", file)
+		}
+		res, err := lint.AnalyzeModule(loader, [][2]string{{dir, "darnet/internal/" + name}}, lint.All())
+		if err != nil {
+			t.Fatalf("AnalyzeModule(%s): %v", name, err)
+		}
+		return res.Diags
+	}
+
+	for _, d := range run("durableclean", "", "", "") {
+		if d.Rule == "locksafe" || d.Rule == "lockorder" {
+			t.Fatalf("unmutated internal/durable must be lock-clean, got %s", d)
+		}
+	}
+	for _, m := range []struct{ name, file, orig, mutated, rule, substr string }{
+		{
+			name: "durableleak", file: "manager.go",
+			orig:    "if m.closed {\n\t\tm.mu.Unlock()\n\t\treturn ErrClosed",
+			mutated: "if m.closed {\n\t\treturn ErrClosed",
+			rule:    "locksafe", substr: "return with m.mu still locked",
+		},
+		{
+			name: "durableorder", file: "wal.go",
+			orig:    "lsn, err := w.appendLocked(b)\n\tw.mu.Unlock()",
+			mutated: "lsn, err := w.appendLocked(b)\n\tw.syncMu.Lock()\n\tw.syncMu.Unlock()\n\tw.mu.Unlock()",
+			rule:    "lockorder", substr: "wal.mu ↔ wal.syncMu",
+		},
+	} {
+		diags := run(m.name, m.file, m.orig, m.mutated)
+		found := false
+		for _, d := range diags {
+			if d.Rule == m.rule && strings.Contains(d.Message, m.substr) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%s: want a %s finding containing %q, got %v", m.name, m.rule, m.substr, diags)
 		}
 	}
 }
@@ -429,7 +486,7 @@ func TestModuleAllocMutationTwoLevels(t *testing.T) {
 		return next
 	})
 
-	res, err := lint.AnalyzeModule(loader, modipaPkgs(tmp), lint.AllModule())
+	res, err := lint.AnalyzeModule(loader, modipaPkgs(tmp), lint.All())
 	if err != nil {
 		t.Fatalf("AnalyzeModule: %v", err)
 	}

@@ -2,25 +2,35 @@ package lint
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"strings"
 )
 
 // Shapeflow propagates abstract tensor shapes forward through function
-// bodies (domain in dataflow.go) and checks operator contracts wherever
-// enough is known statically: MatMul inner dimensions, Reshape element
-// counts, elementwise-op shape agreement, AddRowVector widths. Where
-// shapecheck inspects single call expressions with literal arguments,
-// shapeflow follows values — through assignments, constructor results,
-// Reshape/Transpose/Clone chains, and calls to other analyzed functions —
-// in this package or any it imports — whose shape-transfer summaries are
-// derivable.
+// bodies and package-level initializers (domain in dataflow.go) and checks
+// operator contracts wherever enough is known statically: MatMul inner
+// dimensions, Reshape element counts, elementwise-op shape agreement,
+// AddRowVector widths. It follows values through assignments, constructor
+// results, Reshape/Transpose/Clone chains, and calls to other analyzed
+// functions — in this package or any it imports — whose shape-transfer
+// summaries are derivable.
 //
-// The analyzer is registered at module scope only (registry AllModule).
+// The same walk checks the literal arguments of the numerics constructors,
+// where a mismatch is an error or panic on a path that may only run once a
+// specific inference branch is hit:
+//
+//   - tensor.FromSlice / tensor.MustFromSlice with a literal data slice and
+//     constant dims: the dim product must equal the literal length;
+//   - tensor constructors and Reshape: constant dims must be non-negative;
+//   - Reshape of a constant-dim constructor result with constant new dims:
+//     the element counts must agree;
+//   - nn.NewBatchNorm with constant width and groups: width must divide
+//     evenly into groups, the constructor's panic condition.
 var Shapeflow = &Analyzer{
 	Name: "shapeflow",
-	Doc:  "tensor shapes derived by dataflow must satisfy operator contracts",
+	Doc:  "tensor shapes, literal or derived by dataflow, must satisfy constructor and operator contracts",
 	Run:  runShapeflow,
 }
 
@@ -28,6 +38,16 @@ func runShapeflow(pass *Pass) {
 	eng := pass.IPA().shapeEngine()
 	for _, n := range pass.Nodes() {
 		eng.analyze(n)
+	}
+	// Each package-level var declaration is walked once, from an empty
+	// state.
+	w := newShapeWalker(eng, pass.pkg, nil)
+	for _, f := range pass.Files {
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				w.decl(&ast.DeclStmt{Decl: gd}, newShapeEnv())
+			}
+		}
 	}
 	eng.report(pass)
 }
@@ -62,7 +82,7 @@ func (e *shapeEngine) analyze(n *FuncNode) {
 		return
 	}
 	e.state[n] = 1
-	w := newShapeWalker(e, n)
+	w := newShapeWalker(e, n.Pkg, n)
 	env := w.paramEnv()
 	w.walkStmts(n.Body.List, env)
 	e.transfers[n] = w.summarize()
@@ -79,7 +99,8 @@ func (e *shapeEngine) transferFor(n *FuncNode) *ashape {
 	return e.transfers[n]
 }
 
-// shapeWalker runs the forward dataflow over one function body.
+// shapeWalker runs the forward dataflow over one function body, or over
+// package-level initializers when n is nil.
 type shapeWalker struct {
 	eng *shapeEngine
 	pkg *Package
@@ -91,8 +112,8 @@ type shapeWalker struct {
 	naked        bool               // a return the walker could not attribute
 }
 
-func newShapeWalker(e *shapeEngine, n *FuncNode) *shapeWalker {
-	return &shapeWalker{eng: e, pkg: n.Pkg, n: n, tensorParams: make(map[*types.Var]int), retIdx: -1}
+func newShapeWalker(e *shapeEngine, pkg *Package, n *FuncNode) *shapeWalker {
+	return &shapeWalker{eng: e, pkg: pkg, n: n, tensorParams: make(map[*types.Var]int), retIdx: -1}
 }
 
 // paramEnv seeds the entry state: integer parameters become their own
@@ -141,6 +162,7 @@ func (w *shapeWalker) walkStmt(s ast.Stmt, env *shapeEnv) *shapeEnv {
 	case *ast.ReturnStmt:
 		w.ret(s, env)
 	case *ast.IncDecStmt:
+		w.evalExpr(s.X, env)
 		w.invalidateExpr(s.X, env)
 	case *ast.IfStmt:
 		if s.Init != nil {
@@ -171,6 +193,7 @@ func (w *shapeWalker) walkStmt(s ast.Stmt, env *shapeEnv) *shapeEnv {
 		if s.Init != nil {
 			env = w.walkStmt(s.Init, env)
 		}
+		w.walkStmt(s.Assign, env)
 		w.caseBodies(s.Body, env)
 	case *ast.SelectStmt:
 		w.caseBodies(s.Body, env)
@@ -211,6 +234,8 @@ func (w *shapeWalker) loop(s ast.Stmt, env *shapeEnv) {
 		}
 	case *ast.RangeStmt:
 		w.evalExpr(s.X, inner)
+		w.evalExpr(s.Key, inner)
+		w.evalExpr(s.Value, inner)
 		w.invalidateExpr(s.Key, inner)
 		w.invalidateExpr(s.Value, inner)
 		w.invalidateAssigned(s.Body, inner)
@@ -302,6 +327,7 @@ func (w *shapeWalker) assign(s *ast.AssignStmt, env *shapeEnv) {
 		}
 	}
 	for _, l := range s.Lhs {
+		w.evalExpr(l, env)
 		w.invalidateExpr(l, env)
 	}
 	for _, b := range binds {
@@ -374,8 +400,7 @@ func (w *shapeWalker) evalExpr(e ast.Expr, env *shapeEnv) {
 	ast.Inspect(e, func(x ast.Node) bool {
 		switch x := x.(type) {
 		case *ast.FuncLit:
-			sub := &shapeWalker{eng: w.eng, pkg: w.pkg, n: w.n, tensorParams: make(map[*types.Var]int), retIdx: -1}
-			sub.walkStmts(x.Body.List, newShapeEnv())
+			newShapeWalker(w.eng, w.pkg, w.n).walkStmts(x.Body.List, newShapeEnv())
 			return false
 		case *ast.CallExpr:
 			w.evalShape(x, env) // side effect: operator checks (deduped)
@@ -505,6 +530,9 @@ func (w *shapeWalker) evalCall(call *ast.CallExpr, env *shapeEnv) ashape {
 	if isTensorPkgFunc(fn) {
 		return w.tensorOp(call, fn, env)
 	}
+	if fn.Name() == "NewBatchNorm" && fn.Pkg() != nil && strings.HasSuffix(fn.Pkg().Path(), "internal/nn") {
+		w.checkBatchNorm(call)
+	}
 	if ts := w.lookupTransfer(fn); ts != nil {
 		return w.instantiate(ts, call, env)
 	}
@@ -568,6 +596,7 @@ func (w *shapeWalker) tensorOp(call *ast.CallExpr, fn *types.Func, env *shapeEnv
 		if call.Ellipsis.IsValid() || len(call.Args) <= start {
 			return unknownShape()
 		}
+		w.checkCtor(call, name, call.Args[start:])
 		return w.dimsShape(call.Args[start:], env)
 	case "MatMul", "MustMatMul":
 		return w.matmul(call, env, name, 1, 0, 0, 1)
@@ -680,52 +709,102 @@ func (w *shapeWalker) require2D(pos token.Pos, op string, shapes ...ashape) {
 	}
 }
 
-// reshape checks Reshape/MustReshape against the dataflow state and returns
-// the new shape. Syntactically-constant mistakes (literal negative dims, a
-// constant-constructor receiver with constant new dims) are shapecheck's to
-// report; shapeflow covers the cases only dataflow can see.
+// reshape checks Reshape/MustReshape and returns the new shape. A negative
+// dim is reported once per kind: the first literal constant (always fails)
+// and the first value dataflow proves negative. A constant-constructor
+// receiver with constant new dims is checked syntactically; any other
+// receiver against the dataflow state.
 func (w *shapeWalker) reshape(call *ast.CallExpr, env *shapeEnv, name string, recv ashape) ashape {
 	if call.Ellipsis.IsValid() || len(call.Args) == 0 {
 		return unknownShape()
 	}
 	dims := w.dimsShape(call.Args, env)
-	allSyntactic := true
+	allSyntactic, syntacticNeg, flowNeg := true, false, false
 	for i, a := range call.Args {
-		if _, syntactic := constIntValue(w.pkg.Info, a); syntactic {
+		if v, syntactic := constIntValue(w.pkg.Info, a); syntactic {
+			if v < 0 && !syntacticNeg {
+				w.eng.add(w.pkg, a.Pos(), "tensor.%s dimension %d is negative (always fails)", name, v)
+				syntacticNeg = true
+			}
 			continue
 		}
 		allSyntactic = false
-		if d := dims.dims[i]; d.kind == dimConst && d.val < 0 {
+		if d := dims.dims[i]; d.kind == dimConst && d.val < 0 && !flowNeg {
 			w.eng.add(w.pkg, a.Pos(), "tensor.%s dimension %d is negative (fails at run time)", name, d.val)
-			return dims
+			flowNeg = true
 		}
+	}
+	if flowNeg {
+		return dims
 	}
 	nd, ok := dims.constDims()
 	if !ok {
 		return dims
 	}
+	got := int64(1)
+	for _, d := range nd {
+		got *= d
+	}
+	if allSyntactic {
+		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
+			if size, ctor := syntacticCtorSize(w.pkg.Info, sel.X); ctor {
+				if !syntacticNeg && got != size {
+					w.eng.add(w.pkg, call.Pos(), "tensor.%s: new dims multiply to %d but the tensor has %d elements", name, got, size)
+				}
+				return dims
+			}
+		}
+	}
 	rd, ok := recv.constDims()
 	if !ok {
 		return dims
 	}
-	if allSyntactic {
-		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-			if _, ctor := syntacticCtorSize(w.pkg.Info, sel.X); ctor {
-				return dims // exactly shapecheck's territory
-			}
-		}
-	}
-	want, got := int64(1), int64(1)
+	want := int64(1)
 	for _, d := range rd {
 		want *= d
-	}
-	for _, d := range nd {
-		got *= d
 	}
 	if want != got {
 		w.eng.add(w.pkg, call.Pos(), "tensor.%s: new dims multiply to %d but the tensor has %d elements (fails at run time)", name, got, want)
 	}
 	return dims
+}
+
+// checkCtor checks a tensor constructor's literal dims: each constant must
+// be non-negative, and FromSlice/MustFromSlice's constant dims must
+// multiply to the length of a literal data slice.
+func (w *shapeWalker) checkCtor(call *ast.CallExpr, name string, dims []ast.Expr) {
+	product := 1
+	allConst := true
+	for _, d := range dims {
+		v, known := constIntValue(w.pkg.Info, d)
+		if !known {
+			allConst = false
+			continue
+		}
+		if v < 0 {
+			w.eng.add(w.pkg, d.Pos(), "tensor.%s dimension %d is negative (constructor panics)", name, v)
+			return
+		}
+		product *= int(v)
+	}
+	if name != "FromSlice" && name != "MustFromSlice" || !allConst {
+		return
+	}
+	if length, ok := literalLen(call.Args[0]); ok && product != length {
+		w.eng.add(w.pkg, call.Pos(), "tensor.%s: dims multiply to %d but the data literal has %d elements", name, product, length)
+	}
+}
+
+// checkBatchNorm checks nn.NewBatchNorm's constant width and groups.
+func (w *shapeWalker) checkBatchNorm(call *ast.CallExpr) {
+	if len(call.Args) != 3 {
+		return
+	}
+	width, okW := constIntValue(w.pkg.Info, call.Args[1])
+	groups, okG := constIntValue(w.pkg.Info, call.Args[2])
+	if okW && okG && (width <= 0 || groups <= 0 || width%groups != 0) {
+		w.eng.add(w.pkg, call.Pos(), "nn.NewBatchNorm: width %d is not divisible into %d groups (constructor panics)", width, groups)
+	}
 }
 
 // checkRowVector verifies AddRowVector: the vector's element count must
@@ -792,9 +871,20 @@ func (w *shapeWalker) paramTensor(e ast.Expr) int {
 
 // --- shared helpers ---------------------------------------------------------
 
+// dimArgStart maps tensor constructors to the argument index where the
+// variadic shape begins.
+var dimArgStart = map[string]int{
+	"New":           0,
+	"FromSlice":     1,
+	"MustFromSlice": 1,
+	"Full":          1,
+	"Randn":         2,
+	"Uniform":       3,
+}
+
 // syntacticCtorSize computes the element count of a tensor built directly by
-// a constructor call with constant dims — the receiver form shapecheck can
-// verify without dataflow.
+// a constructor call with constant dims — a Reshape receiver checkable
+// without dataflow.
 func syntacticCtorSize(info *types.Info, e ast.Expr) (int64, bool) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || call.Ellipsis.IsValid() {
@@ -868,6 +958,28 @@ func isTensorPtr(t types.Type) bool {
 func isIntKind(t types.Type) bool {
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsInteger != 0
+}
+
+func constIntValue(info *types.Info, e ast.Expr) (int64, bool) {
+	tv, ok := info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
+		return 0, false
+	}
+	return constant.Int64Val(tv.Value)
+}
+
+// literalLen counts the elements of a plain (unkeyed) composite literal.
+func literalLen(e ast.Expr) (int, bool) {
+	lit, ok := ast.Unparen(e).(*ast.CompositeLit)
+	if !ok {
+		return 0, false
+	}
+	for _, el := range lit.Elts {
+		if _, keyed := el.(*ast.KeyValueExpr); keyed {
+			return 0, false
+		}
+	}
+	return len(lit.Elts), true
 }
 
 // objVar resolves an identifier to its variable object.

@@ -12,9 +12,10 @@ import (
 // This file computes bottom-up function summaries over the call graph: a
 // small monotone lattice of facts per function (may block, may block
 // forever, allocation sites, locks acquired, context usage) propagated to a
-// fixpoint, plus a second flow pass deriving lock-acquisition-order pairs
-// once transitive acquire sets are stable. The whole-program analyzers are
-// thin views over these summaries.
+// fixpoint, plus the held-lock walk (locksafe.go), which derives
+// lock-acquisition-order pairs and lock leaks once transitive acquire sets
+// are stable. The whole-program analyzers are thin views over these
+// summaries.
 
 // IPA is the interprocedural analysis state of one run: a call graph and a
 // summary per function node over every analyzed package, shared by the
@@ -57,7 +58,7 @@ func buildIPA(pkgs []*Package) *IPA {
 		}
 		propagate(nodes)
 		for _, n := range nodes {
-			computePairs(g, n)
+			computeLocks(g, n)
 		}
 	}
 	return &IPA{
@@ -209,14 +210,16 @@ type Summary struct {
 	// AllocSites are this function's own heap-allocating constructs, the
 	// currency of the hotalloc analyzer.
 	AllocSites []Site
-	// OwnLocks maps lock identities this function itself acquires to the
-	// first acquisition position.
-	OwnLocks map[string]token.Pos
-	// Acquires is OwnLocks plus every lock reachable callees acquire.
+	// Acquires maps the lock identities this function or any callee it
+	// reaches acquires to the first acquisition position.
 	Acquires map[string]token.Pos
 	// Pairs records lock-order edges: key[0] was held while key[1] was
 	// acquired (directly or inside a callee) at the recorded position.
 	Pairs map[[2]string]token.Pos
+	// LockLeaks are the returns and acquisitions where a lock can outlive
+	// the function: locksafe's findings, with the message in What. Pairs
+	// and LockLeaks both come from the held-lock walk (locksafe.go).
+	LockLeaks []Site
 
 	// BlocksForever / Blocks are the transitive closures of the site
 	// lists. ForeverWhat/ForeverPos describe a representative ultimate
@@ -240,12 +243,8 @@ type Summary struct {
 // literal expression itself is an allocation in the encloser.
 func gatherFacts(n *FuncNode) *Summary {
 	pkg := n.Pkg
-	s := &Summary{
-		OwnLocks: make(map[string]token.Pos),
-		Acquires: make(map[string]token.Pos),
-		Pairs:    make(map[[2]string]token.Pos),
-	}
-	exempt := collectChanExemptions(pkg, n.Body)
+	s := newSummary()
+	exempt := collectChanExemptions(n.Body)
 	addressed := make(map[*ast.CompositeLit]bool)
 	ast.Inspect(n.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
@@ -310,10 +309,14 @@ func gatherFacts(n *FuncNode) *Summary {
 		return true
 	})
 	gatherCtxFacts(pkg, n, s)
-	for id, pos := range s.OwnLocks {
-		s.Acquires[id] = pos
-	}
 	return s
+}
+
+func newSummary() *Summary {
+	return &Summary{
+		Acquires: make(map[string]token.Pos),
+		Pairs:    make(map[[2]string]token.Pos),
+	}
 }
 
 // gatherExprFacts records channel/call facts inside one expression (used for
@@ -370,24 +373,8 @@ func gatherSelectFacts(s *Summary, sel *ast.SelectStmt) {
 // escape path and must not count as forever-blocking: comm clauses of any
 // select (the select statement is classified as a whole) and comma-ok
 // receives (which observe close).
-func collectChanExemptions(pkg *Package, body *ast.BlockStmt) map[ast.Node]bool {
+func collectChanExemptions(body *ast.BlockStmt) map[ast.Node]bool {
 	exempt := make(map[ast.Node]bool)
-	markComm := func(comm ast.Stmt) {
-		switch c := comm.(type) {
-		case *ast.SendStmt:
-			exempt[c] = true
-		case *ast.ExprStmt:
-			if u, ok := ast.Unparen(c.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				exempt[u] = true
-			}
-		case *ast.AssignStmt:
-			if len(c.Rhs) == 1 {
-				if u, ok := ast.Unparen(c.Rhs[0]).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-					exempt[u] = true
-				}
-			}
-		}
-	}
 	ast.Inspect(body, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.FuncLit:
@@ -395,7 +382,7 @@ func collectChanExemptions(pkg *Package, body *ast.BlockStmt) map[ast.Node]bool 
 		case *ast.SelectStmt:
 			for _, c := range x.Body.List {
 				if cc, ok := c.(*ast.CommClause); ok && cc.Comm != nil {
-					markComm(cc.Comm)
+					markSelectComm(exempt, cc.Comm)
 				}
 			}
 		case *ast.AssignStmt:
@@ -440,15 +427,14 @@ func gatherCallFacts(pkg *Package, s *Summary, call *ast.CallExpr) {
 		return
 	}
 
-	if name, kind, ok := mutexOp(pkg.Info, call); ok {
-		switch kind {
-		case mutexAcquire:
-			if _, seen := s.OwnLocks[name]; !seen {
-				s.OwnLocks[name] = call.Pos()
+	if lock, kind, ok := mutexOp(pkg.Info, call); ok {
+		// Releases matter to the held-lock walk, not the summary sets.
+		if kind == mutexAcquire {
+			id := lockIdentity(pkg.Info, lock)
+			if _, seen := s.Acquires[id]; !seen {
+				s.Acquires[id] = call.Pos()
 			}
 			s.BlockSites = append(s.BlockSites, Site{call.Pos(), "lock acquisition"})
-		case mutexRelease:
-			// Releases matter to the pair walk, not the summary sets.
 		}
 		return
 	}
@@ -608,7 +594,7 @@ func recvTypeName(fn *types.Func) string {
 	return t.String()
 }
 
-// mutexOp classification for the interprocedural passes.
+// mutexOpKind classifies a sync mutex call.
 type mutexOpKind int
 
 const (
@@ -616,16 +602,17 @@ const (
 	mutexRelease
 )
 
-// mutexOp classifies a call as a sync mutex acquire/release and returns the
-// lock's type-level identity (see lockIdentity).
-func mutexOp(info *types.Info, call *ast.CallExpr) (string, mutexOpKind, bool) {
+// mutexOp classifies a call as Lock/RLock or Unlock/RUnlock on a sync
+// mutex and returns the receiver expression: callers name the lock by its
+// text ("c.mu") or its type-level identity (lockIdentity).
+func mutexOp(info *types.Info, call *ast.CallExpr) (ast.Expr, mutexOpKind, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
-		return "", 0, false
+		return nil, 0, false
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", 0, false
+		return nil, 0, false
 	}
 	var kind mutexOpKind
 	switch fn.Name() {
@@ -634,9 +621,9 @@ func mutexOp(info *types.Info, call *ast.CallExpr) (string, mutexOpKind, bool) {
 	case "Unlock", "RUnlock":
 		kind = mutexRelease
 	default:
-		return "", 0, false
+		return nil, 0, false
 	}
-	return lockIdentity(info, sel.X), kind, true
+	return sel.X, kind, true
 }
 
 // lockIdentity names a lock at the type level so acquisitions through

@@ -35,6 +35,14 @@ func dynamicShapesSkipped(data []float64, dims []int) (*tensor.Tensor, error) {
 }
 
 func suppressed() *tensor.Tensor {
-	//lint:ignore shapecheck fixture demonstrates suppression
+	//lint:ignore shapeflow fixture demonstrates suppression
 	return tensor.MustFromSlice([]float64{1, 2, 3}, 4)
+}
+
+func reshapeConstantConstructor() *tensor.Tensor {
+	return tensor.New(2, 3).MustReshape(4, 2) // want "MustReshape: new dims multiply to 8 but the tensor has 6 elements$"
+}
+
+func reshapeNegativeLiteral(x *tensor.Tensor) *tensor.Tensor {
+	return x.MustReshape(-1, 4) // want "MustReshape dimension -1 is negative \\(always fails\\)"
 }
