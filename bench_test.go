@@ -12,6 +12,7 @@ package darnet
 // numbers reported in EXPERIMENTS.md.
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"sync"
@@ -600,7 +601,7 @@ func BenchmarkRemoteClassify(b *testing.B) {
 			return
 		}
 		defer conn.Close()
-		_ = eng.ServeClassify(wire.NewConn(conn))
+		_ = eng.ServeClassifyCtx(context.Background(), wire.NewConn(conn))
 	}()
 	raw, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {

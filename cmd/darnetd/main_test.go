@@ -136,7 +136,14 @@ func TestControllerOpsIntegration(t *testing.T) {
 		}
 	}
 
-	after := telemetry.Default.Snapshot()
+	// The controller counts a batch just after sending its ack, ending with
+	// the ingest histogram, so the last batch may be uncounted when its ack
+	// arrives: wait for that histogram before reading any counter.
+	var after telemetry.Snapshot
+	waitUntil(5*time.Second, func() bool {
+		after = telemetry.Default.Snapshot()
+		return histogramCount(after, "darnet_collect_ingest_seconds")-histogramCount(before, "darnet_collect_ingest_seconds") >= batches
+	})
 	for name, wantDelta := range map[string]int64{
 		"darnet_collect_batches_total":      batches,
 		"darnet_collect_readings_total":     2 * batches,

@@ -343,8 +343,11 @@ func NewSessionScript(segments ...ScriptSegment) (*SessionScript, error) {
 }
 
 // RemoteClassify ships one aligned (frame, window) observation to a server
-// running (*Engine).ServeClassify — the paper's remote configuration — and
-// returns the fused classification.
+// running (*Engine).ServeClassifyCtx — the paper's remote configuration —
+// and returns the fused classification. A request tagged with a distortion
+// level needs a server whose engine has a dCNN router attached
+// (SetDCNNRouter); darnetd -engine attaches none and answers it with an
+// error.
 func RemoteClassify(conn *WireConn, frame []float64, w, h int, distortion DistortionLevel, window IMUWindow) (*Classification, error) {
 	return core.RemoteClassify(conn, frame, w, h, uint8(distortion), window)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"darnet/internal/bayes"
+	"darnet/internal/collect"
 	"darnet/internal/imu"
 	"darnet/internal/nn"
 	"darnet/internal/privacy"
@@ -14,6 +15,7 @@ import (
 	"darnet/internal/svm"
 	"darnet/internal/telemetry"
 	"darnet/internal/tensor"
+	"darnet/internal/vision"
 )
 
 // Engine is the trained analytics engine: one model per modality plus the
@@ -325,16 +327,23 @@ func (e *Engine) Classify(frame []float64, window imu.Window) (*Classification, 
 // both modalities are absent is there nothing to classify and an error is
 // returned.
 func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Window) (*Classification, error) {
+	return e.classify(ctx, frame, collect.DistortNone, window)
+}
+
+// classify is ClassifyCtx for a frame distorted to level. It runs the three
+// stages every served window goes through — frameProbs, WindowProbs and
+// Fuse — so a distorted remote request gets the same spans, histograms and
+// error count as an undistorted one.
+func (e *Engine) classify(ctx context.Context, frame []float64, level collect.DistortionLevel, window imu.Window) (*Classification, error) {
 	start := time.Now()
 	_, span := telemetry.DefaultTracer.StartSpan(ctx, "darnet_stage_classify")
 	defer span.End()
 	var cnnProbs []float64
 	if len(frame) > 0 {
 		cnnSp := span.StartChild("darnet_stage_cnn_forward")
-		probs, err := e.cnnForward(frame)
+		probs, err := e.frameProbs(frame, level)
 		cnnSp.End()
 		if err != nil {
-			mClassifyErrors.Inc()
 			return nil, err
 		}
 		cnnProbs = probs
@@ -343,59 +352,83 @@ func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Wi
 	var rnnProbs []float64
 	if len(window.Samples) > 0 {
 		rnnSp := span.StartChild("darnet_stage_rnn_forward")
-		probs, err := e.rnnForward(window)
+		probs, err := e.WindowProbs(window)
 		rnnSp.End()
 		if err != nil {
-			mClassifyErrors.Inc()
 			return nil, err
 		}
 		rnnProbs = probs
 	}
 
 	bnSp := span.StartChild("darnet_stage_bn_combine")
-	out, err := e.fuse(cnnProbs, rnnProbs)
+	out, err := e.Fuse(cnnProbs, rnnProbs)
 	bnSp.End()
 	if err != nil {
-		mClassifyErrors.Inc()
 		return nil, err
 	}
 	hClassify.ObserveSince(start)
 	return out, nil
 }
 
-// rnnForward runs the RNN over one normalized window and returns the class
-// distribution, feeding the darnet_core_rnn_forward_seconds histogram.
-func (e *Engine) rnnForward(window imu.Window) ([]float64, error) {
+// Each stage below feeds its darnet_core_*_seconds histogram and counts a
+// failure in darnet_core_classify_errors_total, so ClassifyCtx and the
+// streaming pipeline, which calls the stages one at a time at its own
+// cadence, are timed and counted alike.
+
+// FrameProbs runs only the CNN modality over one undistorted flattened
+// frame, for streaming callers that manage their own modality cadence
+// (frame-skipping reuses the previous result instead of calling this).
+func (e *Engine) FrameProbs(frame []float64) ([]float64, error) {
+	return e.frameProbs(frame, collect.DistortNone)
+}
+
+// frameProbs is the CNN stage for a frame distorted to level: the engine's
+// own CNN at DistortNone, and otherwise the attached router's dCNN student
+// for that level (Figure 3: the analytics engine "picks the appropriate
+// classifier").
+func (e *Engine) frameProbs(frame []float64, level collect.DistortionLevel) ([]float64, error) {
+	start := time.Now()
+	var probs []float64
+	var err error
+	switch {
+	case len(frame) != e.ImgW*e.ImgH:
+		err = fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
+	case level == collect.DistortNone:
+		probs, err = e.CNN.Probs(frame)
+	case e.dcnn == nil:
+		err = fmt.Errorf("core: no dCNN router attached for distortion level %v", level)
+	default:
+		img := &vision.Image{W: e.ImgW, H: e.ImgH, Pix: frame}
+		probs, err = e.dcnn.Classify(&privacy.TaggedFrame{Level: level, Image: img})
+	}
+	if err != nil {
+		mClassifyErrors.Inc()
+		return nil, err
+	}
+	hCNNForward.ObserveSince(start)
+	return probs, nil
+}
+
+// WindowProbs runs only the RNN modality over one IMU window, normalized
+// with the engine's fitted stats, and returns the class distribution.
+func (e *Engine) WindowProbs(window imu.Window) ([]float64, error) {
 	start := time.Now()
 	probs, err := e.RNN.PredictProbs(e.IMUStats.Normalize(window))
 	if err != nil {
+		mClassifyErrors.Inc()
 		return nil, fmt.Errorf("core: rnn inference: %w", err)
 	}
 	hRNNForward.ObserveSince(start)
 	return probs, nil
 }
 
-// cnnForward runs the frame CNN over one flattened frame and returns the
-// class distribution, feeding the darnet_core_cnn_forward_seconds histogram.
-func (e *Engine) cnnForward(frame []float64) ([]float64, error) {
-	if len(frame) != e.ImgW*e.ImgH {
-		return nil, fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
-	}
-	start := time.Now()
-	probs, err := e.CNN.Probs(frame)
-	if err != nil {
-		return nil, fmt.Errorf("core: cnn inference: %w", err)
-	}
-	hCNNForward.ObserveSince(start)
-	return probs, nil
-}
-
-// fuse combines the per-modality distributions through the Bayesian Network.
+// Fuse combines the per-modality distributions through the Bayesian Network.
 // A nil slice marks an absent modality: its parent node is replaced by a
 // uniform distribution and the result carries the corresponding degraded mode
 // and discounted confidence. Both absent is an error.
-func (e *Engine) fuse(cnnProbs, rnnProbs []float64) (*Classification, error) {
+func (e *Engine) Fuse(cnnProbs, rnnProbs []float64) (*Classification, error) {
 	if cnnProbs == nil && rnnProbs == nil {
+		mClassifyErrors.Inc()
 		return nil, fmt.Errorf("core: both modalities absent, nothing to classify")
 	}
 	out := &Classification{Mode: ModeFused, CNNProbs: cnnProbs, RNNProbs: rnnProbs}
@@ -412,6 +445,7 @@ func (e *Engine) fuse(cnnProbs, rnnProbs []float64) (*Classification, error) {
 	bnStart := time.Now()
 	post, err := e.BNWithRNN.Combine(pA, pB)
 	if err != nil {
+		mClassifyErrors.Inc()
 		return nil, fmt.Errorf("core: bn combine: %w", err)
 	}
 	hBNCombine.ObserveSince(bnStart)

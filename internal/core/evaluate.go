@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"darnet/internal/bayes"
-	"darnet/internal/imu"
 	"darnet/internal/metrics"
 	"darnet/internal/nn"
 	"darnet/internal/tensor"
@@ -166,14 +165,4 @@ func EvaluateCNNOnly(cnn *nn.Sequential, frames *tensor.Tensor, labels []int) (f
 		return 0, err
 	}
 	return nn.Accuracy(pred, labels)
-}
-
-// SequencesOf converts a window list into normalized sequence tensors using
-// the engine's fitted statistics.
-func (e *Engine) SequencesOf(windows []imu.Window) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(windows))
-	for i, w := range windows {
-		out[i] = e.IMUStats.Normalize(w)
-	}
-	return out
 }

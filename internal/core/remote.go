@@ -10,26 +10,17 @@ import (
 	"darnet/internal/imu"
 	"darnet/internal/privacy"
 	"darnet/internal/telemetry"
-	"darnet/internal/vision"
 	"darnet/internal/wire"
 )
 
-// ServeClassify runs the remote-configuration analytics loop over one
+// ServeClassifyCtx runs the remote-configuration analytics loop over one
 // connection (paper §3.2/§4.1): it answers ClassifyRequest messages with the
 // engine's fused classification until the peer disconnects. Malformed
 // requests are answered with an error response rather than dropping the
-// connection, so one bad observation does not interrupt the stream.
-//
-// ServeClassify serves with a background context; a server with a shutdown
-// signal should use ServeClassifyCtx so cancellation reaches the loop.
-func (e *Engine) ServeClassify(conn *wire.Conn) error {
-	return e.ServeClassifyCtx(context.Background(), conn)
-}
-
-// ServeClassifyCtx is ServeClassify with cancellation: the loop exits
-// between requests once ctx is canceled, and each request's span context
-// derives from ctx — not a manufactured Background — so downstream stages
-// observe the server's shutdown.
+// connection, so one bad observation does not interrupt the stream. The
+// loop exits between requests once ctx is canceled, and each request's span
+// context derives from ctx, so downstream stages observe the server's
+// shutdown.
 func (e *Engine) ServeClassifyCtx(ctx context.Context, conn *wire.Conn) error {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -77,12 +68,7 @@ func (e *Engine) answer(ctx context.Context, req *wire.ClassifyRequest) *wire.Cl
 	if err != nil {
 		return &wire.ClassifyResponse{Error: err.Error()}
 	}
-	var res *Classification
-	if level := collect.DistortionLevel(req.Distortion); level != collect.DistortNone {
-		res, err = e.classifyDistorted(req.Frame, level, window)
-	} else {
-		res, err = e.ClassifyCtx(ctx, req.Frame, window)
-	}
+	res, err := e.classify(ctx, req.Frame, collect.DistortionLevel(req.Distortion), window)
 	if err != nil {
 		return &wire.ClassifyResponse{Error: err.Error()}
 	}
@@ -90,27 +76,6 @@ func (e *Engine) answer(ctx context.Context, req *wire.ClassifyRequest) *wire.Cl
 		Class: uint32(res.Class),
 		Probs: append([]float64(nil), res.Probs...),
 	}
-}
-
-// classifyDistorted fuses a privacy-distorted frame through the matching
-// dCNN (Figure 3: the analytics engine "picks the appropriate classifier")
-// with the IMU window through the same RNN forward and Bayesian Network
-// fusion ClassifyCtx uses.
-func (e *Engine) classifyDistorted(frame []float64, level collect.DistortionLevel, window imu.Window) (*Classification, error) {
-	if e.dcnn == nil {
-		return nil, fmt.Errorf("core: no dCNN router attached for distortion level %v", level)
-	}
-	img := vision.MustNewImage(e.ImgW, e.ImgH)
-	copy(img.Pix, frame)
-	cnnProbs, err := e.dcnn.Classify(&privacy.TaggedFrame{Level: level, Image: img})
-	if err != nil {
-		return nil, err
-	}
-	rnnProbs, err := e.rnnForward(window)
-	if err != nil {
-		return nil, err
-	}
-	return e.fuse(cnnProbs, rnnProbs)
 }
 
 // SetDCNNRouter attaches the level-tagged dCNN classifiers the remote server
@@ -124,21 +89,15 @@ func windowFromFeatures(values []float64, steps int) (imu.Window, error) {
 		return imu.Window{}, fmt.Errorf("core: window has %d values for %d steps", len(values), steps)
 	}
 	samples := make([]imu.Sample, steps)
-	for t := 0; t < steps; t++ {
-		row := values[t*imu.FeatureDim : (t+1)*imu.FeatureDim]
-		var s imu.Sample
-		copy(s.Accel[:], row[0:3])
-		copy(s.Gyro[:], row[3:6])
-		copy(s.Gravity[:], row[6:9])
-		copy(s.Rotation[:], row[9:13])
-		samples[t] = s
+	for t := range samples {
+		samples[t] = imu.SampleFromFeatures(0, values[t*imu.FeatureDim:(t+1)*imu.FeatureDim])
 	}
 	return imu.Window{Samples: samples}, nil
 }
 
 // RemoteClassify is the client side of the remote configuration: it ships
-// one aligned (frame, window) observation to a server running ServeClassify
-// and returns the fused classification.
+// one aligned (frame, window) observation to a server running
+// ServeClassifyCtx and returns the fused classification.
 func RemoteClassify(conn *wire.Conn, frame []float64, w, h int, distortion uint8, window imu.Window) (*Classification, error) {
 	req := &wire.ClassifyRequest{
 		FrameW:     uint32(w),

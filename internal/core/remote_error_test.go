@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -11,13 +12,13 @@ import (
 	"darnet/internal/wire"
 )
 
-// serveClassifyOn runs ServeClassify over one end of a pipe and reports its
+// serveClassifyOn runs ServeClassifyCtx over one end of a pipe and reports its
 // result. The zero Engine is enough: every case here fails in the protocol
 // layer before any model is touched.
 func serveClassifyOn(conn net.Conn) chan error {
 	done := make(chan error, 1)
 	go func() {
-		done <- (&Engine{}).ServeClassify(wire.NewConn(conn))
+		done <- (&Engine{}).ServeClassifyCtx(context.Background(), wire.NewConn(conn))
 	}()
 	return done
 }
@@ -50,7 +51,7 @@ func TestServeClassifyTruncatedFrame(t *testing.T) {
 
 	err := <-done
 	if err == nil {
-		t.Fatal("ServeClassify accepted a truncated frame")
+		t.Fatal("ServeClassifyCtx accepted a truncated frame")
 	}
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame error = %v, want io.ErrUnexpectedEOF in the chain", err)
@@ -66,7 +67,7 @@ func TestServeClassifyOversizedPayload(t *testing.T) {
 
 	err := <-done
 	if err == nil {
-		t.Fatal("ServeClassify accepted an oversized frame")
+		t.Fatal("ServeClassifyCtx accepted an oversized frame")
 	}
 	if !errors.Is(err, wire.ErrFrameTooLarge) {
 		t.Fatalf("oversized frame error = %v, want wire.ErrFrameTooLarge in the chain", err)
@@ -85,7 +86,7 @@ func TestServeClassifyWrongMessageType(t *testing.T) {
 
 	err := <-done
 	if err == nil {
-		t.Fatal("ServeClassify accepted a non-classify message")
+		t.Fatal("ServeClassifyCtx accepted a non-classify message")
 	}
 }
 

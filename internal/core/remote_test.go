@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"net"
@@ -9,7 +10,7 @@ import (
 	"darnet/internal/collect"
 	"darnet/internal/imu"
 	"darnet/internal/privacy"
-	"darnet/internal/vision"
+	"darnet/internal/telemetry"
 	"darnet/internal/wire"
 )
 
@@ -43,7 +44,7 @@ func TestRemoteClassifyOverTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		done <- eng.ServeClassify(wire.NewConn(conn))
+		done <- eng.ServeClassifyCtx(context.Background(), wire.NewConn(conn))
 	}()
 
 	raw, err := net.Dial("tcp", ln.Addr().String())
@@ -98,31 +99,25 @@ func TestRemoteClassifyOverTCP(t *testing.T) {
 	}
 }
 
+// TestWindowFromFeaturesRoundTrip holds windowFromFeatures to the inverse of
+// Flatten at the window level (the per-sample identity is imu's
+// TestSampleFromFeaturesRoundTrip) and checks its length errors.
 func TestWindowFromFeaturesRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	samples := make([]imu.Sample, 5)
-	for i := range samples {
-		for j := 0; j < 3; j++ {
-			samples[i].Accel[j] = rng.NormFloat64()
-			samples[i].Gyro[j] = rng.NormFloat64()
-			samples[i].Gravity[j] = rng.NormFloat64()
-		}
-		for j := 0; j < 4; j++ {
-			samples[i].Rotation[j] = rng.NormFloat64()
-		}
+	flat := make([]float64, 5*imu.FeatureDim)
+	for i := range flat {
+		flat[i] = rng.NormFloat64()
 	}
-	w := imu.Window{Samples: samples}
-	back, err := windowFromFeatures(w.Flatten(), 5)
+	back, err := windowFromFeatures(flat, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range samples {
-		a := samples[i].Features()
-		b := back.Samples[i].Features()
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("sample %d feature %d: %g vs %g", i, j, a[j], b[j])
-			}
+	if len(back.Samples) != 5 {
+		t.Fatalf("window has %d samples, want 5", len(back.Samples))
+	}
+	for i, v := range back.Flatten() {
+		if v != flat[i] {
+			t.Fatalf("value %d: %g vs %g", i, v, flat[i])
 		}
 	}
 	if _, err := windowFromFeatures(make([]float64, 10), 5); err == nil {
@@ -178,7 +173,7 @@ func TestRemoteClassifyDistortedRoutesThroughDCNN(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		done <- eng.ServeClassify(wire.NewConn(conn))
+		done <- eng.ServeClassifyCtx(context.Background(), wire.NewConn(conn))
 	}()
 	raw, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
@@ -216,10 +211,25 @@ func TestRemoteClassifyDistortedRoutesThroughDCNN(t *testing.T) {
 	}
 }
 
-// TestClassifyDistortedFusesLikeClassify checks that a distorted remote
-// request goes through the same RNN forward and Bayesian Network fusion as
-// ClassifyCtx: the posterior is fuse(dCNN probs, RNN probs), the confidence
-// is the posterior peak, and the classification is counted and timed.
+// findSpan returns the first node named name in the tree under n, or nil.
+func findSpan(n *telemetry.TraceNode, name string) *telemetry.TraceNode {
+	if n.Name == name {
+		return n
+	}
+	for _, c := range n.Children {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
+// TestClassifyDistortedFusesLikeClassify sends distorted requests through
+// answer, the remote server's per-request body. A level with a registered
+// dCNN runs ClassifyCtx's stages: with the engine's own CNN as that dCNN the
+// posterior equals ClassifyCtx's bit for bit, the CNN and classify
+// histograms move by one, and the stage spans hang under the request's
+// root. A level with no registered model counts a classify error.
 func TestClassifyDistortedFusesLikeClassify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
@@ -229,48 +239,63 @@ func TestClassifyDistortedFusesLikeClassify(t *testing.T) {
 	router.Register(collect.DistortLow, eng.CNN)
 	eng.SetDCNNRouter(router)
 	frame, window := train.Frames.Row(1), train.Windows[1]
-
-	classified, bn, rnnFwd := mClassifications.Value(), hBNCombine.Count(), hRNNForward.Count()
-	got, err := eng.classifyDistorted(frame, collect.DistortLow, window)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := mClassifications.Value() - classified; d != 1 {
-		t.Fatalf("darnet_core_classifications_total moved by %d, want 1", d)
-	}
-	if d := hBNCombine.Count() - bn; d != 1 {
-		t.Fatalf("darnet_core_bn_combine_seconds observed %d times, want 1", d)
-	}
-	if d := hRNNForward.Count() - rnnFwd; d != 1 {
-		t.Fatalf("darnet_core_rnn_forward_seconds observed %d times, want 1", d)
-	}
-
-	img := vision.MustNewImage(eng.ImgW, eng.ImgH)
-	copy(img.Pix, frame)
-	cnnProbs, err := router.Classify(&privacy.TaggedFrame{Level: collect.DistortLow, Image: img})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rnnProbs, err := eng.RNN.PredictProbs(eng.IMUStats.Normalize(window))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := eng.fuse(cnnProbs, rnnProbs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mode != ModeFused || got.Class != want.Class {
-		t.Fatalf("distorted classification = class %d mode %v, want class %d fused", got.Class, got.Mode, want.Class)
-	}
-	for i := range want.Probs {
-		if got.Probs[i] != want.Probs[i] {
-			t.Fatalf("posterior[%d] = %v, want fuse(dCNN, RNN) = %v", i, got.Probs[i], want.Probs[i])
+	request := func(level collect.DistortionLevel) *wire.ClassifyRequest {
+		return &wire.ClassifyRequest{
+			FrameW: uint32(eng.ImgW), FrameH: uint32(eng.ImgH), Frame: frame, Distortion: uint8(level),
+			Steps: uint32(len(window.Samples)), FeatureDim: imu.FeatureDim, Window: window.Flatten(),
 		}
 	}
-	if got.Confidence != got.Probs[got.Class] || got.Confidence == 0 {
-		t.Fatalf("confidence %v, want posterior peak %v", got.Confidence, got.Probs[got.Class])
+	want, err := eng.ClassifyCtx(context.Background(), frame, window)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(got.CNNProbs) != eng.Classes || len(got.RNNProbs) != eng.IMUClasses {
-		t.Fatalf("parent distributions missing: cnn %v rnn %v", got.CNNProbs, got.RNNProbs)
+
+	cnnFwd, classified, errs := hCNNForward.Count(), hClassify.Count(), mClassifyErrors.Value()
+	root := telemetry.NewTracer(1, 1).StartRoot("darnet_classify_request")
+	resp := eng.answer(telemetry.ContextWithSpan(context.Background(), root), request(collect.DistortLow))
+	root.End()
+	if resp.Error != "" {
+		t.Fatal(resp.Error)
 	}
+	if int(resp.Class) != want.Class || !sameBits(resp.Probs, want.Probs) {
+		t.Fatalf("distorted answer class %d %v, ClassifyCtx class %d %v", resp.Class, resp.Probs, want.Class, want.Probs)
+	}
+	if d := hCNNForward.Count() - cnnFwd; d != 1 {
+		t.Fatalf("darnet_core_cnn_forward_seconds observed %d times, want 1", d)
+	}
+	if d := hClassify.Count() - classified; d != 1 {
+		t.Fatalf("darnet_core_classify_seconds observed %d times, want 1", d)
+	}
+	if d := mClassifyErrors.Value() - errs; d != 0 {
+		t.Fatalf("darnet_core_classify_errors_total moved by %d, want 0", d)
+	}
+	cls := findSpan(root.Tree(), "darnet_stage_classify")
+	if cls == nil {
+		t.Fatalf("no darnet_stage_classify span under the request root:\n%s", telemetry.RenderTree(root.Tree()))
+	}
+	for _, stage := range []string{"darnet_stage_cnn_forward", "darnet_stage_rnn_forward", "darnet_stage_bn_combine"} {
+		if findSpan(cls, stage) == nil {
+			t.Fatalf("no %s span under the request root:\n%s", stage, telemetry.RenderTree(root.Tree()))
+		}
+	}
+
+	errs = mClassifyErrors.Value()
+	if resp := eng.answer(context.Background(), request(collect.DistortMedium)); resp.Error == "" {
+		t.Fatal("a level with no registered dCNN was answered")
+	}
+	if d := mClassifyErrors.Value() - errs; d != 1 {
+		t.Fatalf("darnet_core_classify_errors_total moved by %d for an unregistered level, want 1", d)
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

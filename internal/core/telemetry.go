@@ -12,7 +12,7 @@ var (
 	hRNNForward      = telemetry.NewHistogram("darnet_core_rnn_forward_seconds", "RNN forward pass over one normalized window", nil)
 	hBNCombine       = telemetry.NewHistogram("darnet_core_bn_combine_seconds", "Bayesian Network posterior fusion", nil)
 
-	mRemoteRequests = telemetry.NewCounter("darnet_core_remote_requests_total", "classify requests answered by ServeClassify")
+	mRemoteRequests = telemetry.NewCounter("darnet_core_remote_requests_total", "classify requests answered by ServeClassifyCtx")
 	mRemoteErrors   = telemetry.NewCounter("darnet_core_remote_errors_total", "classify requests answered with an error response")
 	hRemoteRequest  = telemetry.NewHistogram("darnet_core_remote_request_seconds", "server-side handling of one classify request", nil)
 

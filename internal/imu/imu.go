@@ -41,6 +41,17 @@ func (s Sample) Features() []float64 {
 	return f
 }
 
+// SampleFromFeatures is the inverse of Features: it rebuilds the sample
+// stamped ts from a FeatureDim-wide row.
+func SampleFromFeatures(ts int64, row []float64) Sample {
+	s := Sample{TimestampMillis: ts}
+	copy(s.Accel[:], row[0:3])
+	copy(s.Gyro[:], row[3:6])
+	copy(s.Gravity[:], row[6:9])
+	copy(s.Rotation[:], row[9:13])
+	return s
+}
+
 // Window is a fixed-length run of consecutive samples, the unit the sequence
 // models classify.
 type Window struct {

@@ -39,6 +39,18 @@ func TestFeaturesLayout(t *testing.T) {
 	}
 }
 
+// Property: SampleFromFeatures inverts Features, timestamp included.
+func TestSampleFromFeaturesRoundTrip(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := randomSample(rng, seed)
+		return SampleFromFeatures(s.TimestampMillis, s.Features()) == s
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWindowTensorAndFlatten(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	w := Window{Samples: []Sample{randomSample(rng, 0), randomSample(rng, 250)}}

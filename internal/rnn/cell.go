@@ -123,13 +123,12 @@ func (c *LSTMCell) Forward(x *tensor.Tensor) (*tensor.Tensor, *cellCache, error)
 }
 
 // preact computes the packed gate pre-activations z = b + x·Wx + h·Wh for one
-// step with the blocked tensor.VecMatAcc kernel. The batch Forward pass, the
-// streaming stepInfer and Infer (which runs the x·Wx half for every step
-// before the recurrence) all add the same terms in this order, so an
-// incrementally advanced stream is bit-for-bit identical to a full-window
-// recompute: floating-point addition is not associative, so sharing the
-// accumulation order is what makes the equality exact rather than
-// approximate.
+// step with the blocked tensor.VecMatAcc kernel. The batch Forward pass calls
+// it per step, and Infer (which runs the x·Wx half for every step before the
+// recurrence) adds the same terms in this order, so inference is bit-for-bit
+// identical to training's forward pass: floating-point addition is not
+// associative, so sharing the accumulation order is what makes the equality
+// exact rather than approximate.
 func (c *LSTMCell) preact(xt, h, z []float64) {
 	copy(z, c.b.Value.Data())
 	tensor.VecMatAcc(z, xt, c.wx.Value.Data())
@@ -150,13 +149,6 @@ func (c *LSTMCell) gates(z, h, cs []float64) {
 		cs[j] = ct
 		h[j] = ot * math.Tanh(ct)
 	}
-}
-
-// stepInfer advances one inference step in place: h and cs (each length
-// hidden) are the carried state, z is a 4*hidden scratch.
-func (c *LSTMCell) stepInfer(xt, h, cs, z []float64) {
-	c.preact(xt, h, z)
-	c.gates(z, h, cs)
 }
 
 // Backward backpropagates dL/dH (shape (T, hidden)) through the cached

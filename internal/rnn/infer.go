@@ -90,8 +90,8 @@ func (c *Classifier) inferLogits(ws *Workspace, seq *tensor.Tensor) ([]float64, 
 
 // poolHead mean-pools the (T, width) top-layer rows in top into pooled and
 // runs the dense head into logits. It accumulates rows in time order and
-// scales once, as the training forward pass does; Infer and the incremental
-// Stream share it, which keeps their results bit-identical.
+// scales once, as the training forward pass does, which keeps Infer
+// bit-identical to it.
 func (c *Classifier) poolHead(top []float64, T int, pooled, logits []float64) {
 	W := len(pooled)
 	clear(pooled)
@@ -112,7 +112,7 @@ func (c *Classifier) poolHead(top []float64, T int, pooled, logits []float64) {
 // backwards, the backward direction of a BiLSTM. The input projection of all
 // T steps is one blocked GEMM before the recurrence; per step it adds the
 // same terms in the same order as preact, so the result is bit-identical to
-// Forward and to stepInfer.
+// Forward.
 func (c *LSTMCell) infer(ws *Workspace, x []float64, T int, reverse bool, out []float64, stride, off int) {
 	H, G := c.hidden, 4*c.hidden
 	zx := ws.zx[:T*G]

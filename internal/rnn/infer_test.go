@@ -11,6 +11,20 @@ import (
 	"darnet/internal/tensor"
 )
 
+// randWindow fills a (T, in) tensor with N(0,1) samples, zeroing a few
+// entries so the sparse-skip branch in preact is exercised too.
+func randWindow(rng *rand.Rand, T, in int) *tensor.Tensor {
+	w := tensor.New(T, in)
+	d := w.Data()
+	for i := range d {
+		if rng.Intn(8) == 0 {
+			continue // leave exact zero
+		}
+		d[i] = rng.NormFloat64()
+	}
+	return w
+}
+
 // preactNaive is the gate pre-activation loop LSTMCell ran before the
 // blocked kernel, kept as the oracle: z = b + x·Wx + h·Wh one weight row at
 // a time, skipping zero inputs.

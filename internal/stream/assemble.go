@@ -64,7 +64,7 @@ func (a *assembler) push(r wire.Reading, at time.Time) (Input, bool) {
 	case r.Sensor == collect.FrameSensorName:
 		return Input{Frame: append([]float64(nil), r.Values...), At: at, Weight: 1}, true
 	case r.Sensor == "imu" && len(r.Values) == imu.FeatureDim:
-		s := sampleFromFeatures(r.TimestampMillis, r.Values)
+		s := imu.SampleFromFeatures(r.TimestampMillis, r.Values)
 		return Input{Sample: &s, At: at, Weight: 1}, true
 	case r.Sensor == "accel" && len(r.Values) == 3:
 		return a.fill(r, at, maskAccel, func(p *partialSample) { copy(p.sample.Accel[:], r.Values) })
@@ -123,14 +123,4 @@ func (a *assembler) evict() {
 			}
 		}
 	}
-}
-
-func sampleFromFeatures(ts int64, v []float64) imu.Sample {
-	var s imu.Sample
-	s.TimestampMillis = ts
-	copy(s.Accel[:], v[0:3])
-	copy(s.Gyro[:], v[3:6])
-	copy(s.Gravity[:], v[6:9])
-	copy(s.Rotation[:], v[9:13])
-	return s
 }

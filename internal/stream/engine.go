@@ -7,28 +7,27 @@ import (
 
 // EngineTicker drives a trained core.Engine for one agent's stream: frames
 // run the CNN (or reuse the previous distribution under frame skipping), IMU
-// samples advance the incremental RNN stream, and a completed window fuses
-// both modalities through the Bayesian Network — composing with the engine's
-// degraded modes when a modality has not been seen at all.
+// samples fill a tumbling window of imu.WindowSize, and a completed window
+// runs the RNN and fuses both modalities through the Bayesian Network —
+// composing with the engine's degraded modes when a modality has not been
+// seen at all. It calls the same stage functions ClassifyCtx runs
+// (FrameProbs, WindowProbs, Fuse), so each decision equals
+// ClassifyCtx(frame, window) for the last frame and the completed window.
 type EngineTicker struct {
 	eng     *core.Engine
-	imu     *core.IMUStream
+	window  []imu.Sample // the partial window, reused across windows
 	lastCNN []float64
 }
 
 // EngineTickerFactory returns a TickerFactory over a shared trained engine.
-// Each call builds a fresh recurrent stream, so watchdog restarts reset the
-// in-flight window. The model weights are shared across agents and only read:
-// inference keeps its scratch in per-call workspaces from each model's pool
-// (and in each stream's own state), so any number of pipelines may run on
-// one engine, as long as nothing trains it meanwhile.
+// Each call builds a ticker with an empty window, so watchdog restarts reset
+// the in-flight window. The model weights are shared across agents and only
+// read: inference keeps its scratch in per-call workspaces from each model's
+// pool, so any number of pipelines may run on one engine, as long as nothing
+// trains it meanwhile.
 func EngineTickerFactory(eng *core.Engine) TickerFactory {
 	return func() (Ticker, error) {
-		st, err := eng.NewIMUStream()
-		if err != nil {
-			return nil, err
-		}
-		return &EngineTicker{eng: eng, imu: st}, nil
+		return &EngineTicker{eng: eng, window: make([]imu.Sample, 0, imu.WindowSize)}, nil
 	}
 }
 
@@ -49,14 +48,16 @@ func (t *EngineTicker) Tick(sample *imu.Sample, frame []float64, skipFrame bool)
 	if sample == nil {
 		return nil, skipped, nil
 	}
-	ready, err := t.imu.Push(*sample)
-	if err != nil {
-		return nil, skipped, err
-	}
-	if !ready {
+	t.window = append(t.window, *sample)
+	if len(t.window) < imu.WindowSize {
 		return nil, skipped, nil
 	}
-	rnnProbs, err := t.imu.Classify()
+	// Reset before classifying, so a window that fails cannot wedge the
+	// ticker: the next sample starts the next window either way. The
+	// samples stay readable until the next Tick appends over them.
+	window := imu.Window{Samples: t.window}
+	t.window = t.window[:0]
+	rnnProbs, err := t.eng.WindowProbs(window)
 	if err != nil {
 		return nil, skipped, err
 	}

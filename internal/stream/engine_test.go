@@ -11,6 +11,7 @@ import (
 
 	"darnet/internal/core"
 	"darnet/internal/imu"
+	"darnet/internal/rnn"
 	"darnet/internal/tensor"
 )
 
@@ -67,12 +68,40 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
+// sameClassification reports whether two classifications agree bit for bit:
+// decision, mode, confidence, posterior and both parent distributions.
+func sameClassification(a, b *core.Classification) bool {
+	return a.Class == b.Class && a.Mode == b.Mode &&
+		math.Float64bits(a.Confidence) == math.Float64bits(b.Confidence) &&
+		sameBits(a.Probs, b.Probs) && sameBits(a.CNNProbs, b.CNNProbs) && sameBits(a.RNNProbs, b.RNNProbs)
+}
+
+// tickWindow feeds one window's samples through tk, frameless, and returns
+// the decision its last sample makes; no earlier sample may decide.
+func tickWindow(t *testing.T, tk Ticker, w imu.Window) *core.Classification {
+	t.Helper()
+	for s := range w.Samples {
+		cls, _, err := tk.Tick(&w.Samples[s], nil, false)
+		if err != nil {
+			t.Fatalf("sample %d: %v", s, err)
+		}
+		if (cls != nil) != (s == len(w.Samples)-1) {
+			t.Fatalf("sample %d of %d: decision %v", s, len(w.Samples), cls)
+		}
+		if cls != nil {
+			return cls
+		}
+	}
+	return nil
+}
+
 // TestSharedEngineConcurrentInference shares one trained engine the way
 // darnetd does: 8 goroutines call ClassifyCtx, FrameProbs and
 // RNN.PredictProbs while 4 pipelines built from EngineTickerFactory stream
 // windows through it. Every result must equal the single-goroutine result
-// bit for bit. Under -race this fails if inference writes any state the
-// engine's callers share.
+// bit for bit, and each serial ticker decision must equal ClassifyCtx on its
+// window and last frame, framed or frameless. Under -race this fails if
+// inference writes any state the engine's callers share.
 func TestSharedEngineConcurrentInference(t *testing.T) {
 	eng, d := sharedEngine(t)
 	const pairs, windows = 6, 3
@@ -120,6 +149,32 @@ func TestSharedEngineConcurrentInference(t *testing.T) {
 	}
 	if len(refStream) != windows {
 		t.Fatalf("reference stream made %d decisions, want %d", len(refStream), windows)
+	}
+	// The ticker runs ClassifyCtx's stages: window w's last frame is
+	// Frames.Row(w), so its decision is ClassifyCtx(frame_w, window_w).
+	for w, cls := range refStream {
+		if !sameClassification(cls, refCls[w]) {
+			t.Fatalf("ticker window %d: %+v, ClassifyCtx %+v", w, cls, refCls[w])
+		}
+	}
+	// Without frames every decision is ClassifyCtx(nil, window) in
+	// ModeRNNOnly.
+	frameless, err := EngineTickerFactory(eng)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < windows; w++ {
+		want, err := eng.ClassifyCtx(context.Background(), nil, d.Windows[w])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cls := tickWindow(t, frameless, d.Windows[w])
+		if cls.Mode != core.ModeRNNOnly || !sameClassification(cls, want) {
+			t.Fatalf("frameless window %d: %+v, ClassifyCtx(nil, window) %+v", w, cls, want)
+		}
+	}
+	if _, err := eng.Fuse(nil, nil); err == nil {
+		t.Fatal("Fuse(nil, nil) must fail")
 	}
 
 	var mu sync.Mutex
@@ -192,11 +247,53 @@ func TestSharedEngineConcurrentInference(t *testing.T) {
 			t.Fatalf("%s made %d decisions, want %d", id, len(decisions), windows)
 		}
 		for w, cls := range decisions {
-			ref := refStream[w]
-			if cls.Class != ref.Class || cls.Mode != ref.Mode || !sameBits(cls.Probs, ref.Probs) ||
-				!sameBits(cls.CNNProbs, ref.CNNProbs) || !sameBits(cls.RNNProbs, ref.RNNProbs) {
+			if ref := refStream[w]; !sameClassification(cls, ref) {
 				t.Fatalf("%s window %d: %+v, serial %+v", id, w, cls, ref)
 			}
 		}
+	}
+}
+
+// TestEngineTickerRecoversFromFailedWindow swaps in an RNN of the wrong input
+// width for one window: that window's tick fails, and the next window's
+// decision is still ClassifyCtx's, because the ticker drops a window before
+// classifying it.
+func TestEngineTickerRecoversFromFailedWindow(t *testing.T) {
+	eng, d := sharedEngine(t)
+	bad, err := rnn.NewClassifier("bad", rand.New(rand.NewSource(1)), rnn.Config{
+		Input: imu.FeatureDim + 1, Hidden: 2, Layers: 1, Classes: eng.IMUClasses,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := EngineTickerFactory(eng)()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := d.Frames.Row(0)
+	if _, _, err := tk.Tick(nil, frame, false); err != nil {
+		t.Fatal(err)
+	}
+	samples := d.Windows[0].Samples
+	last := len(samples) - 1
+	for s := range samples[:last] {
+		if cls, _, err := tk.Tick(&samples[s], nil, false); cls != nil || err != nil {
+			t.Fatalf("sample %d: %v, %v before the window completed", s, cls, err)
+		}
+	}
+	good := eng.RNN
+	eng.RNN = bad
+	cls, _, err := tk.Tick(&samples[last], nil, false)
+	eng.RNN = good
+	if err == nil {
+		t.Fatalf("window with the wrong-width RNN decided %+v", cls)
+	}
+
+	want, err := eng.ClassifyCtx(context.Background(), frame, d.Windows[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cls := tickWindow(t, tk, d.Windows[1]); !sameClassification(cls, want) {
+		t.Fatalf("window after the failure: %+v, ClassifyCtx %+v", cls, want)
 	}
 }

@@ -1,6 +1,7 @@
 // Package stream is the per-agent streaming classification pipeline: a
 // bounded classify work queue fed by the collection controller, drained by a
-// worker that advances the incremental RNN stream sample by sample, with
+// worker that buffers each agent's samples into windows and classifies them
+// through the engine's stages, with
 // credit-based backpressure to the agent's spill buffer, frame-skip
 // degradation under load, the hysteretic alert state machine (EvaluateAlerts
 // replays recorded sessions through the same Alerter), and a watchdog that
