@@ -1,8 +1,9 @@
 # DarNet verify gate. `make verify` is the tier-1 check every change must
 # pass: formatting, go vet, the project's own static analyzers
 # (cmd/darnet-lint), a full build and test sweep, the race detector over
-# the concurrent middleware packages and the model packages they share, and
-# one pass of the per-layer kernel benchmarks.
+# the concurrent middleware packages and the model packages they share, the
+# bench/stream/obs/crash smokes, and one pass of the per-layer kernel
+# benchmarks.
 
 GO ?= go
 
@@ -36,7 +37,7 @@ CRASH_SCALE ?= 0.01
 # construction should fail the gate, not silently tax every future build.
 LINT_BUDGET_MS ?= 2000
 
-verify: fmt vet lint build test race perfbench-test stream-smoke obs-smoke crash-smoke
+verify: fmt vet lint build test race perfbench-test bench-smoke stream-smoke obs-smoke crash-smoke
 	$(MAKE) bench-kernels KERNEL_BENCHTIME=1x
 	@echo "verify: OK"
 
@@ -87,8 +88,10 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench BenchmarkInferLayers -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn
 
 # bench-smoke trains a deliberately tiny configuration, probes the serving
-# path, writes the machine-readable benchmark, and validates its schema. The
-# committed BENCH_PR3.json is produced at default scale/epochs instead.
+# path, writes the machine-readable benchmark, and validates it: the only
+# smoke that gates Table 2's three accuracies and times the Bayesian-network
+# stage. The committed BENCH_PR3.json is produced at default scale/epochs
+# instead.
 bench-smoke:
 	$(GO) run ./cmd/darnet-eval -exp bench -scale 0.012 -cnn-epochs 2 -rnn-epochs 2 -q -bench-out $(BENCH_OUT)
 	$(GO) run ./cmd/darnet-eval -check-bench $(BENCH_OUT)

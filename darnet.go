@@ -123,9 +123,10 @@ type (
 	// Network is a trainable feed-forward network (the CNN substrate).
 	Network = nn.Sequential
 
-	// MultiCombiner fuses any number of modality distributions (the paper's
-	// "extensible to more modalities" claim realized).
-	MultiCombiner = bayes.MultiCombiner
+	// Combiner is the Bayesian Network ensemble combiner: it fuses any number
+	// of modality distributions (the engine fuses two; more realize the
+	// paper's "extensible to more modalities" claim).
+	Combiner = bayes.Combiner
 
 	// Alerter is the evidence-debouncing alert state machine darnetd serves:
 	// it raises once 1 − P(normal), halved for degraded classifications, has
@@ -154,10 +155,10 @@ func NewAlerter(cfg AlertConfig) (*Alerter, error) {
 	return stream.NewAlerter(cfg)
 }
 
-// NewMultiCombiner returns an unfitted N-parent Bayesian Network combiner
-// over parents with the given outcome arities.
-func NewMultiCombiner(classes int, arities []int) (*MultiCombiner, error) {
-	return bayes.NewMultiCombiner(classes, arities)
+// NewCombiner returns an unfitted N-parent Bayesian Network combiner over
+// parents with the given outcome arities.
+func NewCombiner(classes int, arities ...int) (*Combiner, error) {
+	return bayes.NewCombiner(classes, arities...)
 }
 
 // ECE computes the expected calibration error of probabilistic predictions

@@ -190,21 +190,27 @@ func TestAlerterFacade(t *testing.T) {
 	}
 }
 
+// TestMultiCombinerFacade fits and predicts through the public combiner with
+// three parents, the paper's "extensible to more modalities" claim: the
+// third modality alone separates the classes.
 func TestMultiCombinerFacade(t *testing.T) {
-	mc, err := NewMultiCombiner(2, []int{2, 2})
+	c, err := NewCombiner(2, 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := []int{0, 1, 0, 1}
-	if err := mc.Fit(labels, [][]int{{0, 1, 0, 1}, {0, 1, 0, 1}}, 0.5); err != nil {
+	labels := []int{0, 1, 0, 1, 0, 1}
+	preds := [][]int{{0, 0, 0, 0, 0, 0}, {0, 0, 1, 1, 0, 1}, {0, 1, 0, 1, 0, 1}}
+	if err := c.Fit(labels, preds, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	pred, err := mc.Predict([][]float64{{0.9, 0.1}, {0.8, 0.2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred != 0 {
-		t.Fatalf("predicted %d", pred)
+	for want, pC := range [][]float64{{0.8, 0.2}, {0.2, 0.8}} {
+		pred, err := c.Predict([]float64{0.9, 0.1}, []float64{0.5, 0.5}, pC)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred != want {
+			t.Fatalf("predicted %d, want %d", pred, want)
+		}
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package bayes implements DarNet's ensemble combiner: one small Bayesian
-// Network per class, each with two parent nodes (the CNN's frame prediction
-// and the RNN's or SVM's IMU-sequence prediction) and a binary child node
-// ("the behaviour is this class"). Conditional probability tables are
+// Network per class, each with N parent nodes (one per modality's
+// prediction) and a binary child node ("the behaviour is this class"). The
+// engine uses two parents: the CNN's frame prediction and the RNN's or SVM's
+// IMU-sequence prediction; more parents realize the paper's "extensible to
+// adding more modalities" claim (§6). Conditional probability tables are
 // estimated from true-positive counts on training data (paper §4.2,
 // "Ensemble Learning"), and at inference time the parents' probability
 // distributions are marginalized through the CPTs to score every class.
 //
-// The two parents may range over different class sets — in DarNet the CNN
-// sees all six driving behaviours while the IMU models see only the three
+// The parents may range over different class sets — in DarNet the CNN sees
+// all six driving behaviours while the IMU models see only the three
 // phone-related ones — which is exactly why a learned combiner is needed
 // instead of a naive per-class product.
 package bayes
@@ -17,44 +19,85 @@ import (
 	"math"
 )
 
-// Combiner fuses two categorical predictions into a distribution over
-// classes classes, where parent A has arityA outcomes and parent B arityB.
+// maxTable bounds the CPT, classes × Π arities cells, so a combiner stays
+// the small per-deployment network it models (a handful of devices) and a
+// corrupt snapshot cannot request an unbounded allocation.
+const maxTable = 1 << 20
+
+// Combiner fuses categorical predictions from len(arities) parents into a
+// distribution over classes classes, where parent p has arities[p] outcomes.
 type Combiner struct {
 	classes int
-	arityA  int
-	arityB  int
-	// cpt[k][a][b] = P(class = k | parentA = a, parentB = b).
-	cpt    [][][]float64
+	arities []int
+	// strides[p] is parent p's step in the joint parent index, which runs
+	// over every parent's outcome with the last parent fastest.
+	strides []int
+	// cpt[k*cells+j] = P(class = k | joint parent outcome j), where cells =
+	// Π arities.
+	cpt    []float64
 	fitted bool
 }
 
-// NewCombiner returns an unfitted combiner.
-func NewCombiner(classes, arityA, arityB int) (*Combiner, error) {
-	if classes < 2 || arityA < 1 || arityB < 1 {
-		return nil, fmt.Errorf("bayes: invalid combiner dims classes=%d arityA=%d arityB=%d", classes, arityA, arityB)
+// NewCombiner returns an unfitted combiner over parents with the given
+// outcome arities.
+func NewCombiner(classes int, arities ...int) (*Combiner, error) {
+	size, err := tableSize(classes, arities)
+	if err != nil {
+		return nil, err
 	}
-	cpt := make([][][]float64, classes)
-	for k := range cpt {
-		cpt[k] = make([][]float64, arityA)
-		for a := range cpt[k] {
-			cpt[k][a] = make([]float64, arityB)
+	return newCombiner(classes, arities, make([]float64, size)), nil
+}
+
+// tableSize validates the dimensions and returns classes × Π arities.
+func tableSize(classes int, arities []int) (int, error) {
+	if classes < 2 {
+		return 0, fmt.Errorf("bayes: need at least 2 classes, got %d", classes)
+	}
+	if len(arities) == 0 {
+		return 0, fmt.Errorf("bayes: need at least one parent")
+	}
+	size := classes
+	for p, a := range arities {
+		if a < 1 {
+			return 0, fmt.Errorf("bayes: parent %d has arity %d", p, a)
 		}
+		if size > maxTable/a {
+			return 0, fmt.Errorf("bayes: CPT of %d classes over arities %v exceeds %d cells", classes, arities, maxTable)
+		}
+		size *= a
 	}
-	return &Combiner{classes: classes, arityA: arityA, arityB: arityB, cpt: cpt}, nil
+	return size, nil
+}
+
+// newCombiner wraps a table of tableSize(classes, arities) cells.
+func newCombiner(classes int, arities []int, cpt []float64) *Combiner {
+	strides := make([]int, len(arities))
+	s := 1
+	for p := len(arities) - 1; p >= 0; p-- {
+		strides[p] = s
+		s *= arities[p]
+	}
+	return &Combiner{classes: classes, arities: append([]int(nil), arities...), strides: strides, cpt: cpt}
 }
 
 // Classes returns the number of output classes.
 func (c *Combiner) Classes() int { return c.classes }
 
 // Fit estimates the CPTs from aligned training observations: trueLabels[i] is
-// the ground-truth class, predA[i] and predB[i] the parents' hard (arg-max)
-// predictions for sample i. smoothing is the additive Laplace pseudo-count
-// applied to every (class, a, b) cell; it must be positive so unobserved
-// parent combinations yield a uniform rather than undefined conditional.
-func (c *Combiner) Fit(trueLabels, predA, predB []int, smoothing float64) error {
+// the ground-truth class and preds[p][i] parent p's hard (arg-max)
+// prediction for sample i. smoothing is the additive Laplace pseudo-count
+// applied to every (class, joint parent outcome) cell; it must be positive so
+// unobserved parent combinations yield a uniform rather than undefined
+// conditional.
+func (c *Combiner) Fit(trueLabels []int, preds [][]int, smoothing float64) error {
+	if len(preds) != len(c.arities) {
+		return fmt.Errorf("bayes: %d prediction streams for %d parents", len(preds), len(c.arities))
+	}
 	n := len(trueLabels)
-	if len(predA) != n || len(predB) != n {
-		return fmt.Errorf("bayes: misaligned observations: %d labels, %d predA, %d predB", n, len(predA), len(predB))
+	for p, stream := range preds {
+		if len(stream) != n {
+			return fmt.Errorf("bayes: misaligned observations: parent %d has %d predictions for %d labels", p, len(stream), n)
+		}
 	}
 	if n == 0 {
 		return fmt.Errorf("bayes: cannot fit on zero observations")
@@ -62,78 +105,85 @@ func (c *Combiner) Fit(trueLabels, predA, predB []int, smoothing float64) error 
 	if smoothing <= 0 {
 		return fmt.Errorf("bayes: smoothing must be positive, got %g", smoothing)
 	}
-	counts := make([][][]float64, c.classes)
-	for k := range counts {
-		counts[k] = make([][]float64, c.arityA)
-		for a := range counts[k] {
-			counts[k][a] = make([]float64, c.arityB)
-			for b := range counts[k][a] {
-				counts[k][a][b] = smoothing
-			}
-		}
+	cells := len(c.cpt) / c.classes
+	counts := make([]float64, len(c.cpt))
+	for i := range counts {
+		counts[i] = smoothing
 	}
-	for i := 0; i < n; i++ {
-		y, a, b := trueLabels[i], predA[i], predB[i]
+	for i, y := range trueLabels {
 		if y < 0 || y >= c.classes {
 			return fmt.Errorf("bayes: label %d of sample %d out of range [0,%d)", y, i, c.classes)
 		}
-		if a < 0 || a >= c.arityA {
-			return fmt.Errorf("bayes: parent-A outcome %d of sample %d out of range [0,%d)", a, i, c.arityA)
+		j := 0
+		for p, stream := range preds {
+			o := stream[i]
+			if o < 0 || o >= c.arities[p] {
+				return fmt.Errorf("bayes: parent %d outcome %d of sample %d out of range [0,%d)", p, o, i, c.arities[p])
+			}
+			j += o * c.strides[p]
 		}
-		if b < 0 || b >= c.arityB {
-			return fmt.Errorf("bayes: parent-B outcome %d of sample %d out of range [0,%d)", b, i, c.arityB)
-		}
-		counts[y][a][b]++
+		counts[y*cells+j]++
 	}
-	// Normalize over classes within each (a, b) cell:
-	// P(class | a, b) = count(class, a, b) / Σ_k count(k, a, b).
-	for a := 0; a < c.arityA; a++ {
-		for b := 0; b < c.arityB; b++ {
-			total := 0.0
-			for k := 0; k < c.classes; k++ {
-				total += counts[k][a][b]
-			}
-			for k := 0; k < c.classes; k++ {
-				c.cpt[k][a][b] = counts[k][a][b] / total
-			}
+	// Normalize over classes within each joint parent outcome j:
+	// P(class | j) = count(class, j) / Σ_k count(k, j).
+	for j := 0; j < cells; j++ {
+		total := 0.0
+		for k := 0; k < c.classes; k++ {
+			total += counts[k*cells+j]
+		}
+		for k := 0; k < c.classes; k++ {
+			c.cpt[k*cells+j] = counts[k*cells+j] / total
 		}
 	}
 	c.fitted = true
 	return nil
 }
 
-// CPT returns P(class = k | a, b). The combiner must be fitted.
-func (c *Combiner) CPT(k, a, b int) float64 { return c.cpt[k][a][b] }
-
-// Combine marginalizes the parents' probability distributions through the
-// CPTs and returns a normalized posterior over classes:
+// Combine marginalizes the parents' probability distributions, one per
+// parent, through the CPTs and returns a normalized posterior over classes:
 //
-//	P(class = k) ∝ Σ_a Σ_b pA(a) · pB(b) · P(class = k | a, b).
-func (c *Combiner) Combine(pA, pB []float64) ([]float64, error) {
+//	P(class = k) ∝ Σ_j Π_p probs[p][o_p(j)] · P(class = k | j).
+func (c *Combiner) Combine(probs ...[]float64) ([]float64, error) {
 	if !c.fitted {
 		return nil, fmt.Errorf("bayes: combiner not fitted")
 	}
-	if len(pA) != c.arityA {
-		return nil, fmt.Errorf("bayes: parent-A distribution has %d entries, want %d", len(pA), c.arityA)
+	if len(probs) != len(c.arities) {
+		return nil, fmt.Errorf("bayes: %d distributions for %d parents", len(probs), len(c.arities))
 	}
-	if len(pB) != c.arityB {
-		return nil, fmt.Errorf("bayes: parent-B distribution has %d entries, want %d", len(pB), c.arityB)
-	}
-	post := make([]float64, c.classes)
-	total := 0.0
-	for k := 0; k < c.classes; k++ {
-		s := 0.0
-		for a, pa := range pA {
-			if pa == 0 {
-				continue
-			}
-			row := c.cpt[k][a]
-			for b, pb := range pB {
-				s += pa * pb * row[b]
-			}
+	for p, dist := range probs {
+		if len(dist) != c.arities[p] {
+			return nil, fmt.Errorf("bayes: parent %d distribution has %d entries, want %d", p, len(dist), c.arities[p])
 		}
-		post[k] = s
-		total += s
+	}
+	// Walk the joint index a row at a time: one weight per outcome of every
+	// parent but the last, then a contiguous run over the last parent. Each
+	// class sums (w·p_last)·cpt in joint-index order, skipping zero-weight
+	// rows; the engine's reported accuracies depend on that order.
+	last := len(probs) - 1
+	pLast := probs[last]
+	cells := len(c.cpt) / c.classes
+	post := make([]float64, c.classes)
+	for j := 0; j < cells; j += len(pLast) {
+		w := 1.0
+		for p, dist := range probs[:last] {
+			w *= dist[j/c.strides[p]%c.arities[p]]
+		}
+		if w == 0 {
+			continue
+		}
+		for k := range post {
+			row := c.cpt[k*cells+j:]
+			row = row[:len(pLast)]
+			s := post[k]
+			for b, pb := range pLast {
+				s += w * pb * row[b]
+			}
+			post[k] = s
+		}
+	}
+	total := 0.0
+	for _, v := range post {
+		total += v
 	}
 	if total <= 0 || math.IsNaN(total) {
 		return nil, fmt.Errorf("bayes: degenerate posterior (total %g)", total)
@@ -144,19 +194,13 @@ func (c *Combiner) Combine(pA, pB []float64) ([]float64, error) {
 	return post, nil
 }
 
-// Predict returns the arg-max class of Combine(pA, pB).
-func (c *Combiner) Predict(pA, pB []float64) (int, error) {
-	post, err := c.Combine(pA, pB)
+// Predict returns the arg-max class of Combine(probs...).
+func (c *Combiner) Predict(probs ...[]float64) (int, error) {
+	post, err := c.Combine(probs...)
 	if err != nil {
 		return 0, err
 	}
-	best, bi := post[0], 0
-	for k, p := range post[1:] {
-		if p > best {
-			best, bi = p, k+1
-		}
-	}
-	return bi, nil
+	return ArgMax(post), nil
 }
 
 // --- Naive combiners for the ablation bench ---------------------------------

@@ -17,7 +17,7 @@ func ExampleCombiner() {
 	labels := []int{0, 1, 0, 1, 0, 1, 0, 1}
 	predA := []int{0, 0, 0, 0, 0, 0, 0, 0} // A always says class 0
 	predB := []int{0, 1, 0, 1, 0, 1, 0, 1} // B is right every time
-	if err := c.Fit(labels, predA, predB, 0.1); err != nil {
+	if err := c.Fit(labels, [][]int{predA, predB}, 0.1); err != nil {
 		panic(err)
 	}
 	class, err := c.Predict([]float64{0.9, 0.1}, []float64{0.2, 0.8})

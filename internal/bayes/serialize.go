@@ -6,24 +6,22 @@ import (
 	"fmt"
 )
 
-// combinerBlob is the gob wire form of a fitted combiner.
+// combinerBlob is the gob wire form of a combiner.
 type combinerBlob struct {
 	Classes int
-	ArityA  int
-	ArityB  int
-	CPT     []float64 // flattened [k][a][b]
-	Fitted  bool
+	Arities []int
+	// ArityA and ArityB are the parent arities of snapshots written before
+	// the combiner took N parents; such a blob has no Arities and decodes as
+	// two parents.
+	ArityA int
+	ArityB int
+	CPT    []float64 // flattened [k][joint parent outcome], last parent fastest
+	Fitted bool
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (c *Combiner) MarshalBinary() ([]byte, error) {
-	blob := combinerBlob{Classes: c.classes, ArityA: c.arityA, ArityB: c.arityB, Fitted: c.fitted}
-	blob.CPT = make([]float64, 0, c.classes*c.arityA*c.arityB)
-	for k := 0; k < c.classes; k++ {
-		for a := 0; a < c.arityA; a++ {
-			blob.CPT = append(blob.CPT, c.cpt[k][a]...)
-		}
-	}
+	blob := combinerBlob{Classes: c.classes, Arities: c.arities, CPT: c.cpt, Fitted: c.fitted}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
 		return nil, fmt.Errorf("bayes: encode: %w", err)
@@ -31,26 +29,26 @@ func (c *Combiner) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
+// UnmarshalBinary implements encoding.BinaryUnmarshaler. The blob's
+// dimensions are bounded and checked against its CPT before the combiner is
+// built, so a corrupt snapshot is an error, not an out-of-memory crash.
 func (c *Combiner) UnmarshalBinary(data []byte) error {
 	var blob combinerBlob
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&blob); err != nil {
 		return fmt.Errorf("bayes: decode: %w", err)
 	}
-	fresh, err := NewCombiner(blob.Classes, blob.ArityA, blob.ArityB)
+	arities := blob.Arities
+	if len(arities) == 0 {
+		arities = []int{blob.ArityA, blob.ArityB}
+	}
+	size, err := tableSize(blob.Classes, arities)
 	if err != nil {
 		return fmt.Errorf("bayes: snapshot: %w", err)
 	}
-	if len(blob.CPT) != blob.Classes*blob.ArityA*blob.ArityB {
-		return fmt.Errorf("bayes: snapshot CPT has %d entries, want %d", len(blob.CPT), blob.Classes*blob.ArityA*blob.ArityB)
+	if len(blob.CPT) != size {
+		return fmt.Errorf("bayes: snapshot CPT has %d entries, want %d", len(blob.CPT), size)
 	}
-	i := 0
-	for k := 0; k < blob.Classes; k++ {
-		for a := 0; a < blob.ArityA; a++ {
-			copy(fresh.cpt[k][a], blob.CPT[i:i+blob.ArityB])
-			i += blob.ArityB
-		}
-	}
+	fresh := newCombiner(blob.Classes, arities, blob.CPT)
 	fresh.fitted = blob.Fitted
 	*c = *fresh
 	return nil

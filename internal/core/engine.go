@@ -220,7 +220,7 @@ func Train(train *Data, cfg TrainConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bnRNN.Fit(train.Labels, cnnPred, rnnPred, cfg.Smoothing); err != nil {
+	if err := bnRNN.Fit(train.Labels, [][]int{cnnPred, rnnPred}, cfg.Smoothing); err != nil {
 		return nil, fmt.Errorf("core: fit CNN+RNN combiner: %w", err)
 	}
 	eng.BNWithRNN = bnRNN
@@ -229,7 +229,7 @@ func Train(train *Data, cfg TrainConfig) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bnSVM.Fit(train.Labels, cnnPred, svmPred, cfg.Smoothing); err != nil {
+	if err := bnSVM.Fit(train.Labels, [][]int{cnnPred, svmPred}, cfg.Smoothing); err != nil {
 		return nil, fmt.Errorf("core: fit CNN+SVM combiner: %w", err)
 	}
 	eng.BNWithSVM = bnSVM

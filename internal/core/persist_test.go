@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -25,6 +26,7 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 	if err := eng.Save(&buf, cfg.CNN, cfg.RNNHidden, cfg.RNNLayers); err != nil {
 		t.Fatal(err)
 	}
+	snapshot := append([]byte(nil), buf.Bytes()...)
 	loaded, err := LoadEngine(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -51,6 +53,25 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 				t.Fatalf("sample %d: posterior differs after round trip", i)
 			}
 		}
+	}
+
+	// A combiner blob whose dimensions ask for a 2^40-cell CPT is an error,
+	// not an out-of-memory crash.
+	var blob engineBlob
+	if err := gob.NewDecoder(bytes.NewReader(snapshot)).Decode(&blob); err != nil {
+		t.Fatal(err)
+	}
+	var bn bytes.Buffer
+	if err := gob.NewEncoder(&bn).Encode(struct{ Classes, ArityA, ArityB int }{1 << 40, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	blob.BNRNNBlob = bn.Bytes()
+	var corrupt bytes.Buffer
+	if err := gob.NewEncoder(&corrupt).Encode(blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadEngine(&corrupt); err == nil {
+		t.Fatal("expected an error for an oversized combiner table")
 	}
 }
 
