@@ -9,9 +9,11 @@ GO ?= go
 
 RACE_PKGS = ./internal/collect ./internal/tsdb ./internal/core ./internal/telemetry ./internal/fault ./internal/stream ./internal/obs ./internal/durable ./internal/nn ./internal/rnn
 
-# bench-kernels iteration count; verify runs each kernel once so the ledger
-# keeps compiling and running, `make bench-kernels` measures.
-KERNEL_BENCHTIME ?= 2000x
+# bench-kernels time per sub-benchmark; verify runs each kernel once (1x) so
+# the ledgers keep compiling and running, `make bench-kernels` measures. A
+# time rather than a count, because a training step of the whole CNN takes
+# thousands of times longer than an inference layer.
+KERNEL_BENCHTIME ?= 1s
 
 # bench-smoke artifact location; override with BENCH_OUT=BENCH_PR3.json to
 # refresh the committed benchmark (then bump the scale/epochs back up).
@@ -30,7 +32,7 @@ OBS_OUT ?= /tmp/darnet-obs-smoke.json
 CRASH_OUT ?= /tmp/darnet-crash-smoke.json
 CRASH_SCALE ?= 0.01
 
-.PHONY: verify fmt vet lint build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos
+.PHONY: verify fmt vet lint build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos fuzz-smoke
 
 # The lint sweep in verify must finish inside this many milliseconds: the
 # analyzers are part of the inner loop, and a regression in loading or IR
@@ -81,11 +83,13 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-kernels is the per-layer kernel ledger: one sub-benchmark per
+# bench-kernels is the per-layer kernel ledger, with ns/op, allocs/op, FLOPs
+# and GFLOP/s: BenchmarkInferLayers runs one sub-benchmark per
 # MicroInception layer (internal/nn) and per BiLSTM layer (internal/rnn) on
-# a warm inference workspace, with ns/op, allocs/op, FLOPs and GFLOP/s.
+# a warm inference workspace, BenchmarkTrainLayers one per convolution,
+# dense and BiLSTM layer for a training forward plus backward pass.
 bench-kernels:
-	$(GO) test -run '^$$' -bench BenchmarkInferLayers -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn
+	$(GO) test -run '^$$' -bench 'BenchmarkInferLayers|BenchmarkTrainLayers' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn
 
 # bench-smoke trains a deliberately tiny configuration, probes the serving
 # path, writes the machine-readable benchmark, and validates it: the only
@@ -121,6 +125,18 @@ obs-smoke:
 crash-smoke:
 	$(GO) run ./cmd/darnet-eval -exp crash -scale $(CRASH_SCALE) -q -bench-out $(CRASH_OUT)
 	$(GO) run ./cmd/darnet-eval -check-bench $(CRASH_OUT)
+
+# fuzz-smoke runs every fuzz target for 20 s, one package:target pair per
+# FUZZ_TARGETS entry (go test fuzzes one target per run). It is kept out of
+# verify so verify's wall time does not grow; CI runs it as its own step.
+FUZZ_TARGETS = ./internal/bayes:FuzzCombinerUnmarshalBinary
+
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t#*:}; \
+		echo "fuzz-smoke: $$name in $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 20s $$pkg; \
+	done
 
 # chaos runs the fault-injection suite under the race detector: the
 # deterministic chaos-transport and disk-fault unit tests, the collect

@@ -599,17 +599,7 @@ func (w *shapeWalker) tensorOp(call *ast.CallExpr, fn *types.Func, env *shapeEnv
 		w.checkCtor(call, name, call.Args[start:])
 		return w.dimsShape(call.Args[start:], env)
 	case "MatMul", "MustMatMul":
-		return w.matmul(call, env, name, 1, 0, 0, 1)
-	case "MatMulTransA":
-		return w.matmul(call, env, name, 0, 0, 1, 1)
-	case "MatMulTransB":
-		return w.matmul(call, env, name, 1, 1, 0, 0)
-	case "MatMulInto":
-		if len(call.Args) == 3 {
-			w.require2D(call.Pos(), "tensor.MatMulInto", arg(0), arg(1), arg(2))
-			w.checkInner(call.Pos(), "tensor.MatMulInto", arg(1), 1, arg(2), 0)
-		}
-		return unknownShape()
+		return w.matmul(call, env, name)
 	case "Transpose":
 		s := arg(0)
 		w.require2D(call.Pos(), "tensor.Transpose", s)
@@ -652,10 +642,9 @@ func (w *shapeWalker) tensorOp(call *ast.CallExpr, fn *types.Func, env *shapeEnv
 	return unknownShape()
 }
 
-// matmul checks one matrix product and returns its result shape: the inner
-// dims (innerA of the left operand, innerB of the right) must agree, and the
-// result is [left[outA], right[outB]].
-func (w *shapeWalker) matmul(call *ast.CallExpr, env *shapeEnv, name string, innerA, innerB, outA, outB int) ashape {
+// matmul checks one matrix product a×b and returns its result shape: a's
+// column count must equal b's row count, and the result is [a rows, b cols].
+func (w *shapeWalker) matmul(call *ast.CallExpr, env *shapeEnv, name string) ashape {
 	if len(call.Args) != 2 {
 		return unknownShape()
 	}
@@ -665,19 +654,10 @@ func (w *shapeWalker) matmul(call *ast.CallExpr, env *shapeEnv, name string, inn
 	if !sa.known || !sb.known || len(sa.dims) != 2 || len(sb.dims) != 2 {
 		return unknownShape()
 	}
-	w.checkInner(call.Pos(), "tensor."+name, sa, innerA, sb, innerB)
-	return knownShape([]adim{sa.dims[outA], sb.dims[outB]})
-}
-
-// checkInner reports a proven inner-dimension disagreement.
-func (w *shapeWalker) checkInner(pos token.Pos, op string, sa ashape, ia int, sb ashape, ib int) {
-	if !sa.known || !sb.known || ia >= len(sa.dims) || ib >= len(sb.dims) {
-		return
+	if da, db := sa.dims[1], sb.dims[0]; da.kind == dimConst && db.kind == dimConst && da.val != db.val {
+		w.eng.add(w.pkg, call.Pos(), "tensor.%s inner dimensions disagree: %d vs %d (fails at run time)", name, da.val, db.val)
 	}
-	da, db := sa.dims[ia], sb.dims[ib]
-	if da.kind == dimConst && db.kind == dimConst && da.val != db.val {
-		w.eng.add(w.pkg, pos, "%s inner dimensions disagree: %d vs %d (fails at run time)", op, da.val, db.val)
-	}
+	return knownShape([]adim{sa.dims[0], sb.dims[1]})
 }
 
 // checkSameShape reports elementwise operands proven to have different

@@ -6,6 +6,7 @@ import (
 
 	"darnet/internal/core"
 	"darnet/internal/nn"
+	"darnet/internal/tensor"
 )
 
 // BenchmarkInferLayers is the per-layer kernel ledger of the MicroInception
@@ -46,6 +47,54 @@ func BenchmarkInferLayers(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := net.Infer(ws, x); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportFLOPs(b, total)
+	})
+}
+
+// BenchmarkTrainLayers is the per-layer training ledger of the same
+// network on one training batch (32 frames, the default CNN batch size):
+// one sub-benchmark per convolution and dense layer timing Forward(x,
+// true) plus Backward, and the whole network's Forward and Backward,
+// reporting the multiply-accumulate FLOPs of the forward, dW and dx
+// products. Run it with `make bench-kernels`.
+func BenchmarkTrainLayers(b *testing.B) {
+	const batch = 32
+	rng := rand.New(rand.NewSource(1))
+	net, err := core.BuildFrameCNN(rng, 32, 32, 6, core.DefaultCNNConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := tensor.Uniform(rng, 0, 1, batch, 32*32)
+	runs, err := nn.TrainLayers(net, x)
+	if err != nil {
+		b.Fatal(err)
+	}
+	total := 0.0
+	for _, r := range runs {
+		total += r.FLOPs
+		b.Run(r.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Run()
+			}
+			reportFLOPs(b, r.FLOPs)
+		})
+	}
+	y, err := net.Forward(x, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	grad := tensor.Randn(rng, 1, y.Shape()...)
+	b.Run("cnn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := net.Forward(x, true); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := net.Backward(grad); err != nil {
 				b.Fatal(err)
 			}
 		}

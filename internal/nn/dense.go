@@ -67,10 +67,18 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	return y, nil
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Both products are MatMul over a Transpose, so
+// they run on the blocked tensor.VecMatAcc kernel and sum in the order of
+// the transposed-product loops they replaced.
 func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	// dW = xᵀ · grad
-	dw, err := tensor.MatMulTransA(d.x, grad)
+	if err := checkBackward(d.name, d.x, d.out, grad); err != nil {
+		return nil, err
+	}
+	xT, err := tensor.Transpose(d.x)
+	if err != nil {
+		return nil, err
+	}
+	dw, err := tensor.MatMul(xT, grad) // dW = xᵀ · grad
 	if err != nil {
 		return nil, err
 	}
@@ -82,6 +90,9 @@ func (d *Dense) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	d.b.Grad.AddInPlace(db)
 
-	// dX = grad · Wᵀ
-	return tensor.MatMulTransB(grad, d.w.Value)
+	wT, err := tensor.Transpose(d.w.Value)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.MatMul(grad, wT) // dX = grad · Wᵀ
 }

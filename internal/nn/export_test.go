@@ -1,7 +1,13 @@
 package nn
 
-// LayerRun is one leaf layer of a warm Workspace, for the per-layer kernel
-// ledger: Run repeats the layer's inference on the input it last saw.
+import (
+	"math/rand"
+
+	"darnet/internal/tensor"
+)
+
+// LayerRun is one leaf layer, for the per-layer kernel ledgers: Run repeats
+// the layer's work on the input it last saw.
 type LayerRun struct {
 	Name  string
 	FLOPs float64 // floating-point operations per call
@@ -60,4 +66,55 @@ func layerFLOPs(l Layer, in, out int) float64 {
 		return float64(in)
 	}
 	return float64(out)
+}
+
+// TrainLayers runs s.Forward(x, true) once and returns its convolution and
+// dense layers in execution order, for the per-layer training ledger: Run
+// repeats the layer's Forward(in, true) and Backward on the batch it saw,
+// with a fixed random output gradient. FLOPs counts the three products
+// (forward, dW, dx) per call.
+func TrainLayers(s *Sequential, x *tensor.Tensor) ([]LayerRun, error) {
+	rng := rand.New(rand.NewSource(1))
+	var runs []LayerRun
+	var walk func(l Layer, x *tensor.Tensor) (*tensor.Tensor, error)
+	walk = func(l Layer, x *tensor.Tensor) (*tensor.Tensor, error) {
+		switch l := l.(type) {
+		case *Sequential:
+			for _, sub := range l.layers {
+				var err error
+				if x, err = walk(sub, x); err != nil {
+					return nil, err
+				}
+			}
+			return x, nil
+		case *Parallel:
+			for _, t := range l.towers {
+				if _, err := walk(t, x); err != nil {
+					return nil, err
+				}
+			}
+		case *Conv2D, *Dense:
+			y, err := l.Forward(x, true)
+			if err != nil {
+				return nil, err
+			}
+			grad := tensor.Randn(rng, 1, y.Shape()...)
+			runs = append(runs, LayerRun{
+				Name:  l.Name(),
+				FLOPs: 3 * layerFLOPs(l, x.Dim(1), y.Dim(1)) * float64(x.Dim(0)),
+				Run: func() {
+					if _, err := l.Forward(x, true); err != nil {
+						panic(err)
+					}
+					if _, err := l.Backward(grad); err != nil {
+						panic(err)
+					}
+				},
+			})
+			return y, nil
+		}
+		return l.Forward(x, true)
+	}
+	_, err := walk(s, x)
+	return runs, err
 }

@@ -229,13 +229,6 @@ func TestBatchNormRunningStatsUsedInEval(t *testing.T) {
 	}
 }
 
-func TestBatchNormBackwardWithoutForwardErrors(t *testing.T) {
-	bn := NewBatchNorm("bn", 2, 2)
-	if _, err := bn.Backward(tensor.New(1, 2)); err == nil {
-		t.Fatal("expected error for Backward without Forward")
-	}
-}
-
 func TestSGDMomentumConvergesQuadratic(t *testing.T) {
 	// Minimize f(w) = ||w - target||^2 by hand-feeding gradients.
 	target := []float64{3, -2}

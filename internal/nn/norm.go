@@ -29,11 +29,9 @@ type BatchNorm struct {
 	runMean *Param
 	runVar  *Param
 
-	// Training caches.
-	xhat    *tensor.Tensor
-	stdInv  []float64
-	batchN  int
-	trained bool
+	// Training caches, nil until a training-mode Forward.
+	xhat   *tensor.Tensor
+	stdInv []float64
 }
 
 // NewBatchNorm returns a batch-normalization layer over rows of the given
@@ -145,15 +143,13 @@ func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 		rm[g] = b.momentum*rm[g] + (1-b.momentum)*mean[g]
 		rv[g] = b.momentum*rv[g] + (1-b.momentum)*variance[g]
 	}
-	b.batchN = n
-	b.trained = true
 	return out, nil
 }
 
 // Backward implements Layer.
 func (b *BatchNorm) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	if !b.trained {
-		return nil, fmt.Errorf("nn: %s: Backward without training-mode Forward", b.name)
+	if err := checkBackward(b.name, b.xhat, b.width, grad); err != nil {
+		return nil, err
 	}
 	n := grad.Dim(0)
 	per := b.width / b.groups

@@ -43,8 +43,9 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // apply training-only behaviour (dropout masks, batch statistics).
 //
 // Backward consumes dL/dOut for the most recent Forward call and returns
-// dL/dIn, accumulating parameter gradients into Params. Calling Backward
-// without a preceding training-mode Forward is a programming error.
+// dL/dIn, accumulating parameter gradients into Params. Backward without a
+// preceding training-mode Forward, or with a grad whose rows do not match
+// that Forward's batch, returns an error.
 type Layer interface {
 	Name() string
 	Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error)
@@ -58,4 +59,18 @@ type Layer interface {
 // errBadWidth builds the standard incompatible-input-width error.
 func errBadWidth(layer string, want, got int) error {
 	return fmt.Errorf("nn: %s expects input width %d, got %d", layer, want, got)
+}
+
+// checkBackward returns the error for a Backward call that cannot pair with
+// the layer's last training-mode Forward: cached is the batch that Forward
+// cached (nil if none ran), and grad must be one row per cached row, width
+// wide.
+func checkBackward(layer string, cached *tensor.Tensor, width int, grad *tensor.Tensor) error {
+	if cached == nil {
+		return fmt.Errorf("nn: %s: Backward without training-mode Forward", layer)
+	}
+	if grad.Dims() != 2 || grad.Dim(0) != cached.Dim(0) || grad.Dim(1) != width {
+		return fmt.Errorf("nn: %s: backward expects a (%d, %d) grad, got %v", layer, cached.Dim(0), width, grad.Shape())
+	}
+	return nil
 }

@@ -64,6 +64,61 @@ func BenchmarkInferLayers(b *testing.B) {
 	})
 }
 
+// BenchmarkTrainLayers is the per-layer training ledger of the same model
+// on one 20-step window: one sub-benchmark per BiLSTM layer timing its
+// training forward pass plus BPTT, and the whole classifier's forward and
+// backward pass, reporting the gate projections' multiply-accumulate FLOPs
+// three times over (forward, dW, and dx with the carried dh).
+func BenchmarkTrainLayers(b *testing.B) {
+	const T, in, hidden, classes = 20, 13, 64, 3
+	rng := rand.New(rand.NewSource(1))
+	c, err := NewClassifier("imurnn", rng, Config{Input: in, Hidden: hidden, Layers: 2, Classes: classes})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := randWindow(rng, T, in)
+	total := 0.0
+	x := seq
+	for _, l := range c.layers {
+		flops := 3 * 2 * float64(T) * 2 * float64(l.in()+l.hidden()) * 4 * float64(l.hidden())
+		total += flops
+		y, _, err := l.forwardSeq(x)
+		if err != nil {
+			b.Fatal(err)
+		}
+		grad := randWindow(rng, T, l.OutWidth())
+		layerIn := x
+		b.Run(l.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, cache, err := l.forwardSeq(layerIn)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := l.backwardSeq(cache, grad); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportFLOPs(b, flops)
+		})
+		x = y
+	}
+	grad := randWindow(rng, 1, classes)
+	b.Run("rnn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, cache, err := c.forward(seq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := c.backward(cache, grad); err != nil {
+				b.Fatal(err)
+			}
+		}
+		reportFLOPs(b, total)
+	})
+}
+
 func reportFLOPs(b *testing.B, flops float64) {
 	b.ReportMetric(flops, "FLOPs")
 	if s := b.Elapsed().Seconds(); s > 0 {

@@ -57,16 +57,17 @@ func (c *LSTMCell) Hidden() int { return c.hidden }
 // Params returns the cell's trainable parameters.
 func (c *LSTMCell) Params() []*nn.Param { return []*nn.Param{c.wx, c.wh, c.b} }
 
-// cellCache stores per-step activations needed by BPTT.
+// cellCache stores the activations BPTT needs as flat (T, hidden) slabs,
+// row t holding step t. The state a step starts from is row t-1 of c and of
+// h (zero at t = 0), so it is not stored again; h is the output Forward
+// returned, which every caller only reads.
 type cellCache struct {
 	x     *tensor.Tensor // (T, in) input sequence
+	h     *tensor.Tensor // (T, hidden) output sequence
 	steps int
-	// Per step t (length T each, width hidden):
-	i, f, g, o [][]float64
-	cPrev      [][]float64 // c_{t-1}
-	c          [][]float64 // c_t
-	hPrev      [][]float64 // h_{t-1}
-	tanhC      [][]float64
+
+	// Gate activations, cell state and its tanh.
+	i, f, g, o, c, tanhC []float64
 }
 
 // Forward runs the cell over a (T, in) sequence with zero initial state and
@@ -79,30 +80,24 @@ func (c *LSTMCell) Forward(x *tensor.Tensor) (*tensor.Tensor, *cellCache, error)
 	T := x.Dim(0)
 	H := c.hidden
 	out := tensor.New(T, H)
+	n := T * H
+	slab := make([]float64, 6*n)
 	cache := &cellCache{
-		x: x, steps: T,
-		i: make([][]float64, T), f: make([][]float64, T),
-		g: make([][]float64, T), o: make([][]float64, T),
-		cPrev: make([][]float64, T), c: make([][]float64, T),
-		hPrev: make([][]float64, T), tanhC: make([][]float64, T),
+		x: x, h: out, steps: T,
+		i: slab[:n], f: slab[n : 2*n], g: slab[2*n : 3*n], o: slab[3*n : 4*n],
+		c: slab[4*n : 5*n], tanhC: slab[5*n:],
 	}
 
-	h := make([]float64, H)
-	cs := make([]float64, H)
+	zero := make([]float64, H)
+	h, cs := zero, zero // h_{t-1} and c_{t-1}, zero at t = 0
 	z := make([]float64, 4*H)
 
 	for t := 0; t < T; t++ {
-		xt := x.Row(t)
-		c.preact(xt, h, z)
+		c.preact(x.Row(t), h, z)
 
-		it := make([]float64, H)
-		ft := make([]float64, H)
-		gt := make([]float64, H)
-		ot := make([]float64, H)
-		cPrev := append([]float64(nil), cs...)
-		hPrev := append([]float64(nil), h...)
-		ct := make([]float64, H)
-		tc := make([]float64, H)
+		row := t * H
+		it, ft, gt, ot := cache.i[row:row+H], cache.f[row:row+H], cache.g[row:row+H], cache.o[row:row+H]
+		ct, tc := cache.c[row:row+H], cache.tanhC[row:row+H]
 		hrow := out.Row(t)
 		for j := 0; j < H; j++ {
 			it[j] = sigmoid(z[j])
@@ -113,11 +108,7 @@ func (c *LSTMCell) Forward(x *tensor.Tensor) (*tensor.Tensor, *cellCache, error)
 			tc[j] = math.Tanh(ct[j])
 			hrow[j] = ot[j] * tc[j]
 		}
-		copy(cs, ct)
-		copy(h, hrow)
-		cache.i[t], cache.f[t], cache.g[t], cache.o[t] = it, ft, gt, ot
-		cache.cPrev[t], cache.c[t] = cPrev, ct
-		cache.hPrev[t], cache.tanhC[t] = hPrev, tc
+		h, cs = hrow, ct
 	}
 	return out, cache, nil
 }
@@ -154,28 +145,45 @@ func (c *LSTMCell) gates(z, h, cs []float64) {
 // Backward backpropagates dL/dH (shape (T, hidden)) through the cached
 // forward pass, accumulating parameter gradients, and returns dL/dX of shape
 // (T, in).
+//
+// Every product runs on the blocked tensor.VecMatAcc kernel. Step t's dz is
+// row T-1-t of one (T, 4H) buffer. dx row t and the dh carried to step t-1
+// are dz·Wxᵀ and dz·Whᵀ, each summed from zero over the gate axis. After
+// the recurrence, dWx += Xᵀ·dz and dWh += Hᵀ·dz add the steps in the
+// descending order the recurrence visits them. Each sum keeps the order of
+// the per-step scalar loops these replaced, so the gradients are
+// bit-identical to theirs for finite values (see tensor.VecMatAcc).
 func (c *LSTMCell) Backward(cache *cellCache, dh *tensor.Tensor) (*tensor.Tensor, error) {
 	T, H := cache.steps, c.hidden
 	if dh.Dims() != 2 || dh.Dim(0) != T || dh.Dim(1) != H {
 		return nil, fmt.Errorf("rnn: %s backward expects (%d, %d) grad, got %v", c.name, T, H, dh.Shape())
 	}
+	G := 4 * H
 	dx := tensor.New(T, c.in)
-	wxd := c.wx.Value.Data()
-	whd := c.wh.Value.Data()
-	wxg := c.wx.Grad.Data()
-	whg := c.wh.Grad.Data()
+	if T == 0 {
+		return dx, nil
+	}
+	wxT := make([]float64, G*c.in)
+	tensor.TransposeInto(wxT, c.wx.Value.Data(), c.in, G)
+	whT := make([]float64, G*H)
+	tensor.TransposeInto(whT, c.wh.Value.Data(), H, G)
 	bg := c.b.Grad.Data()
 
+	dz := make([]float64, T*G)
+	zero := make([]float64, H)
 	dhNext := make([]float64, H) // gradient flowing into h_t from step t+1
 	dcNext := make([]float64, H)
-	dz := make([]float64, 4*H)
 
 	for t := T - 1; t >= 0; t-- {
-		it, ft, gt, ot := cache.i[t], cache.f[t], cache.g[t], cache.o[t]
-		tc := cache.tanhC[t]
-		cPrev := cache.cPrev[t]
-		hPrev := cache.hPrev[t]
+		row := t * H
+		it, ft, gt, ot := cache.i[row:row+H], cache.f[row:row+H], cache.g[row:row+H], cache.o[row:row+H]
+		tc := cache.tanhC[row : row+H]
+		cPrev := zero
+		if t > 0 {
+			cPrev = cache.c[row-H : row]
+		}
 		dhRow := dh.Row(t)
+		dzt := dz[(T-1-t)*G : (T-t)*G]
 
 		for j := 0; j < H; j++ {
 			dht := dhRow[j] + dhNext[j]
@@ -186,52 +194,37 @@ func (c *LSTMCell) Backward(cache *cellCache, dh *tensor.Tensor) (*tensor.Tensor
 			dgt := dct * it[j]
 			dcNext[j] = dct * ft[j]
 
-			dz[j] = dit * it[j] * (1 - it[j])
-			dz[H+j] = dft * ft[j] * (1 - ft[j])
-			dz[2*H+j] = dgt * (1 - gt[j]*gt[j])
-			dz[3*H+j] = dot * ot[j] * (1 - ot[j])
+			dzt[j] = dit * it[j] * (1 - it[j])
+			dzt[H+j] = dft * ft[j] * (1 - ft[j])
+			dzt[2*H+j] = dgt * (1 - gt[j]*gt[j])
+			dzt[3*H+j] = dot * ot[j] * (1 - ot[j])
 		}
-
-		xt := cache.x.Row(t)
-		for k, xv := range xt {
-			grow := wxg[k*4*H : (k+1)*4*H]
-			if xv != 0 {
-				for j, d := range dz {
-					grow[j] += xv * d
-				}
-			}
-		}
-		for k, hv := range hPrev {
-			grow := whg[k*4*H : (k+1)*4*H]
-			if hv != 0 {
-				for j, d := range dz {
-					grow[j] += hv * d
-				}
-			}
-		}
-		for j, d := range dz {
+		for j, d := range dzt {
 			bg[j] += d
 		}
 
-		dxRow := dx.Row(t)
-		for k := range dxRow {
-			wrow := wxd[k*4*H : (k+1)*4*H]
-			s := 0.0
-			for j, d := range dz {
-				s += wrow[j] * d
-			}
-			dxRow[k] = s
-		}
-		for k := 0; k < H; k++ {
-			wrow := whd[k*4*H : (k+1)*4*H]
-			s := 0.0
-			for j, d := range dz {
-				s += wrow[j] * d
-			}
-			dhNext[k] = s
+		tensor.VecMatAcc(dx.Row(t), dzt, wxT)
+		clear(dhNext)
+		tensor.VecMatAcc(dhNext, dzt, whT)
+	}
+
+	// h_{t-1} is zero at t = 0, so dWh takes only the first T-1 dz rows.
+	tensor.GemmAcc(c.wx.Grad.Data(), stepsDescT(cache.x.Data(), T, c.in), dz, c.in, T, G)
+	tensor.GemmAcc(c.wh.Grad.Data(), stepsDescT(cache.h.Data(), T-1, H), dz[:(T-1)*G], H, T-1, G)
+	return dx, nil
+}
+
+// stepsDescT returns the first steps rows of a (·, w) sequence transposed
+// with the steps last first, out[k][r] = seq[steps-1-r][k], so that column
+// r pairs with Backward's dz row r.
+func stepsDescT(seq []float64, steps, w int) []float64 {
+	out := make([]float64, w*steps)
+	for r := 0; r < steps; r++ {
+		for k, v := range seq[(steps-1-r)*w : (steps-r)*w] {
+			out[k*steps+r] = v
 		}
 	}
-	return dx, nil
+	return out
 }
 
 func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

@@ -12,7 +12,7 @@ func MatMul(a, b *Tensor) (*Tensor, error) {
 	}
 	m, k, n := a.shape[0], a.shape[1], b.shape[1]
 	out := New(m, n)
-	matmulInto(out.data, a.data, b.data, m, k, n)
+	GemmAcc(out.data, a.data, b.data, m, k, n)
 	return out, nil
 }
 
@@ -24,27 +24,6 @@ func MustMatMul(a, b *Tensor) *Tensor {
 		panic(err)
 	}
 	return out
-}
-
-// MatMulInto computes dst = a×b, reusing dst's storage. dst must be m×n.
-func MatMulInto(dst, a, b *Tensor) error {
-	if len(a.shape) != 2 || len(b.shape) != 2 || len(dst.shape) != 2 {
-		return fmt.Errorf("tensor: matmul-into requires 2-D operands")
-	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[1]
-	if b.shape[0] != k || dst.shape[0] != m || dst.shape[1] != n {
-		return fmt.Errorf("tensor: matmul-into shape mismatch dst=%v a=%v b=%v", dst.shape, a.shape, b.shape)
-	}
-	matmulInto(dst.data, a.data, b.data, m, k, n)
-	return nil
-}
-
-// matmulInto computes out[m×n] = a[m×k] × b[k×n] with GemmAcc.
-func matmulInto(out, a, b []float64, m, k, n int) {
-	for i := range out {
-		out[i] = 0
-	}
-	GemmAcc(out, a, b, m, k, n)
 }
 
 // GemmAcc accumulates the matrix product dst += a×b for row-major a (m×k),
@@ -60,8 +39,14 @@ func GemmAcc(dst, a, b []float64, m, k, n int) {
 //
 //	dst[j] += a[0]·m[0][j] + a[1]·m[1][j] + … + a[r]·m[r][j].
 //
-// It is the multiply-accumulate kernel behind MatMul, the convolution's
-// im2col × weights product, the dense layers and the LSTM gate projections.
+// It is the one multiply-accumulate kernel of the model packages. Forward
+// passes: MatMul, the convolution's im2col × weights product, the dense
+// layers and the LSTM gate projections. Backward passes: the dense layer's
+// dW = xᵀ·grad and dX = grad·Wᵀ (MatMul over a Transpose), the
+// convolution's per-sample dW = grad·colsᵀ and dcols = Wᵀ·grad, and the
+// LSTM's dx and dh through Wxᵀ and Whᵀ and its dWx and dWh over the
+// steps' dz rows in descending time order.
+//
 // The loop is register-blocked: each pass over dst (axpy4) takes four rows
 // of m, so dst is loaded and stored once per four products instead of once
 // per product. Each dst[j] still adds its products in row order with one
@@ -69,9 +54,11 @@ func GemmAcc(dst, a, b []float64, m, k, n int) {
 // blocking changes the speed and not the result. A block whose four
 // coefficients are all zero is skipped, like a zero coefficient in the
 // one-row loop; a zero coefficient inside a live block adds a ±0 product,
-// which leaves any sum that starts at +0 or a nonzero value unchanged. m
-// must hold at least len(a)·len(dst) values; a shorter m panics on the slice
-// bounds.
+// which leaves any sum that starts at +0 or a nonzero value unchanged. So
+// a loop that sums every product from +0, zero coefficients included, gets
+// the same bits. That holds for finite values only: a skipped zero times a
+// NaN or ±Inf partner would have made the sum NaN. m must hold at least
+// len(a)·len(dst) values; a shorter m panics on the slice bounds.
 func VecMatAcc(dst, a, m []float64) {
 	n := len(dst)
 	r := 0
@@ -94,57 +81,6 @@ func VecMatAcc(dst, a, m []float64) {
 	}
 }
 
-// MatMulTransB returns a × bᵀ where a is m×k and b is n×k.
-func MatMulTransB(a, b *Tensor) (*Tensor, error) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		return nil, fmt.Errorf("tensor: matmul-transb requires 2-D operands, got %v and %v", a.shape, b.shape)
-	}
-	if a.shape[1] != b.shape[1] {
-		return nil, fmt.Errorf("tensor: matmul-transb inner dimensions differ: %v × %vᵀ", a.shape, b.shape)
-	}
-	m, k, n := a.shape[0], a.shape[1], b.shape[0]
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		arow := a.data[i*k : (i+1)*k]
-		orow := out.data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := b.data[j*k : (j+1)*k]
-			s := 0.0
-			for p, av := range arow {
-				s += av * brow[p]
-			}
-			orow[j] = s
-		}
-	}
-	return out, nil
-}
-
-// MatMulTransA returns aᵀ × b where a is k×m and b is k×n.
-func MatMulTransA(a, b *Tensor) (*Tensor, error) {
-	if len(a.shape) != 2 || len(b.shape) != 2 {
-		return nil, fmt.Errorf("tensor: matmul-transa requires 2-D operands, got %v and %v", a.shape, b.shape)
-	}
-	if a.shape[0] != b.shape[0] {
-		return nil, fmt.Errorf("tensor: matmul-transa inner dimensions differ: %vᵀ × %v", a.shape, b.shape)
-	}
-	k, m, n := a.shape[0], a.shape[1], b.shape[1]
-	out := New(m, n)
-	for p := 0; p < k; p++ {
-		arow := a.data[p*m : (p+1)*m]
-		brow := b.data[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := out.data[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-	return out, nil
-}
-
 // Transpose returns the transpose of a 2-D tensor as a new tensor.
 func Transpose(t *Tensor) (*Tensor, error) {
 	if len(t.shape) != 2 {
@@ -152,13 +88,18 @@ func Transpose(t *Tensor) (*Tensor, error) {
 	}
 	m, n := t.shape[0], t.shape[1]
 	out := New(n, m)
+	TransposeInto(out.data, t.data, m, n)
+	return out, nil
+}
+
+// TransposeInto writes the (n, m) transpose of the row-major (m, n) matrix
+// src into dst, which holds at least m·n values.
+func TransposeInto(dst, src []float64, m, n int) {
 	for i := 0; i < m; i++ {
-		row := t.data[i*n : (i+1)*n]
-		for j, v := range row {
-			out.data[j*m+i] = v
+		for j, v := range src[i*n : (i+1)*n] {
+			dst[j*m+i] = v
 		}
 	}
-	return out, nil
 }
 
 // AddRowVector adds vector v (length n) to every row of a 2-D m×n tensor.

@@ -160,39 +160,6 @@ func TestMatMulShapeErrors(t *testing.T) {
 	}
 }
 
-func TestTransposedMatMulsAgree(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := Randn(rng, 1, 4, 6)
-	b := Randn(rng, 1, 6, 5)
-
-	ref := MustMatMul(a, b)
-
-	bt, err := Transpose(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTransB, err := MatMulTransB(a, bt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, err := Transpose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaTransA, err := MatMulTransA(at, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Data() {
-		if !almostEqual(ref.Data()[i], viaTransB.Data()[i], 1e-9) {
-			t.Fatalf("MatMulTransB disagrees at %d: %g vs %g", i, ref.Data()[i], viaTransB.Data()[i])
-		}
-		if !almostEqual(ref.Data()[i], viaTransA.Data()[i], 1e-9) {
-			t.Fatalf("MatMulTransA disagrees at %d: %g vs %g", i, ref.Data()[i], viaTransA.Data()[i])
-		}
-	}
-}
-
 func TestAddRowVectorAndSumRows(t *testing.T) {
 	x := MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	v := MustFromSlice([]float64{10, 20}, 2)
@@ -350,24 +317,5 @@ func TestConvGeomValidate(t *testing.T) {
 		if err := g.Validate(); err == nil {
 			t.Fatalf("case %d: expected validation error for %+v", i, g)
 		}
-	}
-}
-
-func TestMatMulIntoReuse(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := Randn(rng, 1, 3, 4)
-	b := Randn(rng, 1, 4, 2)
-	dst := Full(123, 3, 2)
-	if err := MatMulInto(dst, a, b); err != nil {
-		t.Fatal(err)
-	}
-	ref := MustMatMul(a, b)
-	for i := range ref.Data() {
-		if !almostEqual(dst.Data()[i], ref.Data()[i], 1e-12) {
-			t.Fatal("MatMulInto disagrees with MatMul")
-		}
-	}
-	if err := MatMulInto(New(2, 2), a, b); err == nil {
-		t.Fatal("expected dst shape error")
 	}
 }
