@@ -34,9 +34,10 @@ CRASH_SCALE ?= 0.01
 
 .PHONY: verify fmt vet lint build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos fuzz-smoke
 
-# The lint sweep in verify must finish inside this many milliseconds: the
-# analyzers are part of the inner loop, and a regression in loading or IR
-# construction should fail the gate, not silently tax every future build.
+# The lint sweep in verify must use less than this many milliseconds of CPU
+# time (user + sys): the analyzers are part of the inner loop, and a
+# regression in loading or IR construction should fail the gate, not
+# silently tax every future build.
 LINT_BUDGET_MS ?= 2000
 
 verify: fmt vet lint build test race perfbench-test bench-smoke stream-smoke obs-smoke crash-smoke
@@ -56,16 +57,21 @@ vet:
 # one call graph spans every package, so the whole-program analyzers follow
 # calls across package boundaries, and a //lint:ignore that suppresses
 # nothing is itself a finding. Per-phase and per-analyzer wall time go to
-# stderr, and the sweep itself — binary prebuilt so compile time doesn't
-# count — must finish inside LINT_BUDGET_MS.
+# stderr, and the sweep itself must stay inside LINT_BUDGET_MS of CPU time.
+# Compile time doesn't count: the binary is prebuilt, and so is the export
+# data the loader asks `go list -export` for, which after an edit to a deep
+# package costs more CPU than the sweep. CPU rather than wall time, so a
+# busy host cannot fail a clean sweep; bash's `time` keyword measures it,
+# since make's /bin/sh may lack one.
 lint:
 	@$(GO) build -o /tmp/darnet-lint-verify ./cmd/darnet-lint
-	@start=$$(date +%s%N); /tmp/darnet-lint-verify -timings ./...; rc=$$?; \
-	ms=$$(( ($$(date +%s%N) - start) / 1000000 )); \
-	if [ $$rc -ne 0 ]; then exit $$rc; fi; \
-	echo "lint: module sweep took $${ms}ms (budget $(LINT_BUDGET_MS)ms)"; \
+	@$(GO) list -export -e -deps ./... > /dev/null
+	@bash -c 'TIMEFORMAT="%3U %3S"; { time /tmp/darnet-lint-verify -timings ./... 2>&3; } 3>&2 2>/tmp/darnet-lint-cpu'; \
+	rc=$$?; if [ $$rc -ne 0 ]; then exit $$rc; fi; \
+	ms=$$(awk '{ printf "%d", ($$1 + $$2) * 1000 }' /tmp/darnet-lint-cpu); \
+	echo "lint: module sweep used $${ms}ms of CPU (budget $(LINT_BUDGET_MS)ms)"; \
 	if [ $$ms -gt $(LINT_BUDGET_MS) ]; then \
-		echo "lint: exceeded the $(LINT_BUDGET_MS)ms wall-time budget"; exit 1; \
+		echo "lint: exceeded the $(LINT_BUDGET_MS)ms CPU-time budget"; exit 1; \
 	fi
 
 build:
@@ -87,9 +93,11 @@ perfbench-test:
 # and GFLOP/s: BenchmarkInferLayers runs one sub-benchmark per
 # MicroInception layer (internal/nn) and per BiLSTM layer (internal/rnn) on
 # a warm inference workspace, BenchmarkTrainLayers one per convolution,
-# dense and BiLSTM layer for a training forward plus backward pass.
+# dense and BiLSTM layer for a training forward plus backward pass, and
+# BenchmarkClassifyStages (internal/core) times each classify stage and the
+# whole overlapped call against its critical path.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkInferLayers|BenchmarkTrainLayers' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn
+	$(GO) test -run '^$$' -bench 'BenchmarkInferLayers|BenchmarkTrainLayers|BenchmarkClassifyStages' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn ./internal/core
 
 # bench-smoke trains a deliberately tiny configuration, probes the serving
 # path, writes the machine-readable benchmark, and validates it: the only

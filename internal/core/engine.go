@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"darnet/internal/bayes"
@@ -331,37 +332,62 @@ func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Wi
 }
 
 // classify is ClassifyCtx for a frame distorted to level. It runs the three
-// stages every served window goes through — frameProbs, WindowProbs and
-// Fuse — so a distorted remote request gets the same spans, histograms and
-// error count as an undistorted one.
+// stages every served window goes through — the CNN (checkFrame, then
+// cnnForward), WindowProbs and Fuse — so a distorted remote request gets
+// the same spans, histograms and error count as an undistorted one.
+//
+// The CNN and the RNN are the Bayesian Network's two independent parents,
+// so with both modalities present the CNN runs on a goroutine of its own
+// while this one runs the RNN, and a classification takes the slower
+// stage's time rather than the sum. The frame's cheap checks run first, so
+// a rejected frame fails before the RNN starts. The join waits for the CNN
+// whatever happens, and a CNN error takes precedence over an RNN error.
 func (e *Engine) classify(ctx context.Context, frame []float64, level collect.DistortionLevel, window imu.Window) (*Classification, error) {
 	start := time.Now()
 	_, span := telemetry.DefaultTracer.StartSpan(ctx, "darnet_stage_classify")
 	defer span.End()
-	var cnnProbs []float64
+
+	// cnn is one variable, so the goroutine's captures cost one allocation.
+	var cnn struct {
+		done  sync.WaitGroup
+		probs []float64
+		err   error
+	}
 	if len(frame) > 0 {
-		cnnSp := span.StartChild("darnet_stage_cnn_forward")
-		probs, err := e.frameProbs(frame, level)
-		cnnSp.End()
-		if err != nil {
+		if err := e.checkFrame(frame, level); err != nil {
+			mClassifyErrors.Inc()
 			return nil, err
 		}
-		cnnProbs = probs
+		cnnSp := span.StartChild("darnet_stage_cnn_forward")
+		if len(window.Samples) == 0 {
+			cnn.probs, cnn.err = e.cnnForward(frame, level)
+			cnnSp.End()
+		} else {
+			cnn.done.Add(1)
+			go func() {
+				defer cnn.done.Done()
+				cnn.probs, cnn.err = e.cnnForward(frame, level)
+				cnnSp.End()
+			}()
+		}
 	}
-
 	var rnnProbs []float64
+	var rnnErr error
 	if len(window.Samples) > 0 {
 		rnnSp := span.StartChild("darnet_stage_rnn_forward")
-		probs, err := e.WindowProbs(window)
+		rnnProbs, rnnErr = e.WindowProbs(window)
 		rnnSp.End()
-		if err != nil {
-			return nil, err
-		}
-		rnnProbs = probs
+	}
+	cnn.done.Wait()
+	if cnn.err != nil {
+		return nil, cnn.err
+	}
+	if rnnErr != nil {
+		return nil, rnnErr
 	}
 
 	bnSp := span.StartChild("darnet_stage_bn_combine")
-	out, err := e.Fuse(cnnProbs, rnnProbs)
+	out, err := e.Fuse(cnn.probs, rnnProbs)
 	bnSp.End()
 	if err != nil {
 		return nil, err
@@ -379,25 +405,37 @@ func (e *Engine) classify(ctx context.Context, frame []float64, level collect.Di
 // frame, for streaming callers that manage their own modality cadence
 // (frame-skipping reuses the previous result instead of calling this).
 func (e *Engine) FrameProbs(frame []float64) ([]float64, error) {
-	return e.frameProbs(frame, collect.DistortNone)
+	if err := e.checkFrame(frame, collect.DistortNone); err != nil {
+		mClassifyErrors.Inc()
+		return nil, err
+	}
+	return e.cnnForward(frame, collect.DistortNone)
 }
 
-// frameProbs is the CNN stage for a frame distorted to level: the engine's
-// own CNN at DistortNone, and otherwise the attached router's dCNN student
-// for that level (Figure 3: the analytics engine "picks the appropriate
-// classifier").
-func (e *Engine) frameProbs(frame []float64, level collect.DistortionLevel) ([]float64, error) {
+// checkFrame is the CNN stage's input check, cheap enough to run before
+// anything else: the pixel count, and an attached router for a distorted
+// level.
+func (e *Engine) checkFrame(frame []float64, level collect.DistortionLevel) error {
+	switch {
+	case len(frame) != e.ImgW*e.ImgH:
+		return fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
+	case level != collect.DistortNone && e.dcnn == nil:
+		return fmt.Errorf("core: no dCNN router attached for distortion level %v", level)
+	}
+	return nil
+}
+
+// cnnForward is the CNN stage over a frame that passed checkFrame: the
+// engine's own CNN at DistortNone, and otherwise the attached router's dCNN
+// student for that level (Figure 3: the analytics engine "picks the
+// appropriate classifier").
+func (e *Engine) cnnForward(frame []float64, level collect.DistortionLevel) ([]float64, error) {
 	start := time.Now()
 	var probs []float64
 	var err error
-	switch {
-	case len(frame) != e.ImgW*e.ImgH:
-		err = fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
-	case level == collect.DistortNone:
+	if level == collect.DistortNone {
 		probs, err = e.CNN.Probs(frame)
-	case e.dcnn == nil:
-		err = fmt.Errorf("core: no dCNN router attached for distortion level %v", level)
-	default:
+	} else {
 		img := &vision.Image{W: e.ImgW, H: e.ImgH, Pix: frame}
 		probs, err = e.dcnn.Classify(&privacy.TaggedFrame{Level: level, Image: img})
 	}
@@ -409,11 +447,22 @@ func (e *Engine) frameProbs(frame []float64, level collect.DistortionLevel) ([]f
 	return probs, nil
 }
 
+// windowScratch pools the (T, FeatureDim) tensors WindowProbs normalizes
+// into. PredictProbs copies its result out, so a tensor is free again as
+// soon as the call returns.
+var windowScratch sync.Pool
+
 // WindowProbs runs only the RNN modality over one IMU window, normalized
 // with the engine's fitted stats, and returns the class distribution.
 func (e *Engine) WindowProbs(window imu.Window) ([]float64, error) {
 	start := time.Now()
-	probs, err := e.RNN.PredictProbs(e.IMUStats.Normalize(window))
+	seq, ok := windowScratch.Get().(*tensor.Tensor)
+	if !ok || seq.Dim(0) != len(window.Samples) {
+		seq = tensor.New(len(window.Samples), imu.FeatureDim)
+	}
+	e.IMUStats.NormalizeInto(seq, window)
+	probs, err := e.RNN.PredictProbs(seq)
+	windowScratch.Put(seq)
 	if err != nil {
 		mClassifyErrors.Inc()
 		return nil, fmt.Errorf("core: rnn inference: %w", err)

@@ -33,12 +33,17 @@ type Sample struct {
 
 // Features flattens the sample into a FeatureDim-wide row.
 func (s Sample) Features() []float64 {
-	f := make([]float64, 0, FeatureDim)
-	f = append(f, s.Accel[0], s.Accel[1], s.Accel[2])
-	f = append(f, s.Gyro[0], s.Gyro[1], s.Gyro[2])
-	f = append(f, s.Gravity[0], s.Gravity[1], s.Gravity[2])
-	f = append(f, s.Rotation[0], s.Rotation[1], s.Rotation[2], s.Rotation[3])
+	f := make([]float64, FeatureDim)
+	s.featuresInto(f)
 	return f
+}
+
+// featuresInto writes the sample's FeatureDim features into f.
+func (s *Sample) featuresInto(f []float64) {
+	copy(f[0:3], s.Accel[:])
+	copy(f[3:6], s.Gyro[:])
+	copy(f[6:9], s.Gravity[:])
+	copy(f[9:13], s.Rotation[:])
 }
 
 // SampleFromFeatures is the inverse of Features: it rebuilds the sample
@@ -138,14 +143,25 @@ func FitStats(windows []Window) (*Stats, error) {
 
 // Normalize returns a standardized copy of the window's sequence tensor.
 func (st *Stats) Normalize(w Window) *tensor.Tensor {
-	out := w.Tensor()
-	for t := 0; t < out.Dim(0); t++ {
-		row := out.Row(t)
-		for j := range row {
-			row[j] = (row[j] - st.Mean[j]) / st.Std[j]
+	out := tensor.New(len(w.Samples), FeatureDim)
+	st.NormalizeInto(out, w)
+	return out
+}
+
+// NormalizeInto writes the window's standardized (len, FeatureDim) sequence
+// into dst, which must have that shape. It allocates nothing, so serving
+// can normalize into reused scratch.
+func (st *Stats) NormalizeInto(dst *tensor.Tensor, w Window) {
+	if dst.Dims() != 2 || dst.Dim(0) != len(w.Samples) || dst.Dim(1) != FeatureDim {
+		panic(fmt.Sprintf("imu: normalize a %d-step window into a %v tensor", len(w.Samples), dst.Shape()))
+	}
+	for t := range w.Samples {
+		row := dst.Row(t)
+		w.Samples[t].featuresInto(row)
+		for j, v := range row {
+			row[j] = (v - st.Mean[j]) / st.Std[j]
 		}
 	}
-	return out
 }
 
 // NormalizeFlat returns a standardized flattened row for the SVM baseline.

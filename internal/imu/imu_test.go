@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"darnet/internal/tensor"
 )
 
 func randomSample(rng *rand.Rand, ts int64) Sample {
@@ -199,4 +201,38 @@ func TestNormalizeInvertibleProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestNormalizeIntoReusesScratch: NormalizeInto overwrites every cell of a
+// reused destination with Normalize's (v − mean)/std, bit for bit, and
+// refuses a destination of the wrong shape.
+func TestNormalizeIntoReusesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]Sample, WindowSize)
+	for i := range samples {
+		samples[i] = randomSample(rng, int64(i))
+	}
+	w := Window{Samples: samples}
+	st, err := FitStats([]Window{w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := st.Normalize(w)
+	dst := tensor.Full(math.NaN(), WindowSize, FeatureDim)
+	for pass := 0; pass < 2; pass++ {
+		st.NormalizeInto(dst, w)
+		for i, v := range dst.Data() {
+			s := samples[i/FeatureDim].Features()[i%FeatureDim]
+			oracle := (s - st.Mean[i%FeatureDim]) / st.Std[i%FeatureDim]
+			if math.Float64bits(v) != math.Float64bits(want.Data()[i]) || math.Float64bits(v) != math.Float64bits(oracle) {
+				t.Fatalf("pass %d cell %d: NormalizeInto %v, Normalize %v, (v-mean)/std %v", pass, i, v, want.Data()[i], oracle)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NormalizeInto accepted a destination one step short")
+		}
+	}()
+	st.NormalizeInto(tensor.New(WindowSize-1, FeatureDim), w)
 }

@@ -25,6 +25,11 @@ type LSTMCell struct {
 	wx *nn.Param
 	wh *nn.Param
 	b  *nn.Param
+
+	// wxT and whT hold Wxᵀ and Whᵀ for Backward, which refills them on
+	// every call because the weights change between calls. Keeping them
+	// spares training two weight-sized allocations per sequence.
+	wxT, whT []float64
 }
 
 // NewLSTMCell returns an LSTM cell with Xavier-initialized projections and a
@@ -153,6 +158,8 @@ func (c *LSTMCell) gates(z, h, cs []float64) {
 // descending order the recurrence visits them. Each sum keeps the order of
 // the per-step scalar loops these replaced, so the gradients are
 // bit-identical to theirs for finite values (see tensor.VecMatAcc).
+// Backward accumulates into the cell's gradients and transposes into
+// buffers the cell keeps, so it is for one goroutine at a time.
 func (c *LSTMCell) Backward(cache *cellCache, dh *tensor.Tensor) (*tensor.Tensor, error) {
 	T, H := cache.steps, c.hidden
 	if dh.Dims() != 2 || dh.Dim(0) != T || dh.Dim(1) != H {
@@ -163,10 +170,11 @@ func (c *LSTMCell) Backward(cache *cellCache, dh *tensor.Tensor) (*tensor.Tensor
 	if T == 0 {
 		return dx, nil
 	}
-	wxT := make([]float64, G*c.in)
-	tensor.TransposeInto(wxT, c.wx.Value.Data(), c.in, G)
-	whT := make([]float64, G*H)
-	tensor.TransposeInto(whT, c.wh.Value.Data(), H, G)
+	if c.wxT == nil {
+		c.wxT, c.whT = make([]float64, G*c.in), make([]float64, G*H)
+	}
+	tensor.TransposeInto(c.wxT, c.wx.Value.Data(), c.in, G)
+	tensor.TransposeInto(c.whT, c.wh.Value.Data(), H, G)
 	bg := c.b.Grad.Data()
 
 	dz := make([]float64, T*G)
@@ -203,9 +211,9 @@ func (c *LSTMCell) Backward(cache *cellCache, dh *tensor.Tensor) (*tensor.Tensor
 			bg[j] += d
 		}
 
-		tensor.VecMatAcc(dx.Row(t), dzt, wxT)
+		tensor.VecMatAcc(dx.Row(t), dzt, c.wxT)
 		clear(dhNext)
-		tensor.VecMatAcc(dhNext, dzt, whT)
+		tensor.VecMatAcc(dhNext, dzt, c.whT)
 	}
 
 	// h_{t-1} is zero at t = 0, so dWh takes only the first T-1 dz rows.

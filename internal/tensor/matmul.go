@@ -93,11 +93,21 @@ func Transpose(t *Tensor) (*Tensor, error) {
 }
 
 // TransposeInto writes the (n, m) transpose of the row-major (m, n) matrix
-// src into dst, which holds at least m·n values.
+// src into dst, which holds at least m·n values. It copies 8×8 tiles, so
+// the strided writes of a tile's columns land in cache lines the tile's
+// previous rows just touched, even when dst is a reused buffer that has
+// left the cache.
 func TransposeInto(dst, src []float64, m, n int) {
-	for i := 0; i < m; i++ {
-		for j, v := range src[i*n : (i+1)*n] {
-			dst[j*m+i] = v
+	const tile = 8
+	for i0 := 0; i0 < m; i0 += tile {
+		i1 := min(i0+tile, m)
+		for j0 := 0; j0 < n; j0 += tile {
+			j1 := min(j0+tile, n)
+			for i := i0; i < i1; i++ {
+				for j, v := range src[i*n+j0 : i*n+j1] {
+					dst[(j0+j)*m+i] = v
+				}
+			}
 		}
 	}
 }

@@ -230,6 +230,28 @@ func TestDoubleTransposeProperty(t *testing.T) {
 	}
 }
 
+// TestTransposeIntoTiles checks every element of TransposeInto's tiled copy
+// on shapes that end on and off a tile edge.
+func TestTransposeIntoTiles(t *testing.T) {
+	for _, m := range []int{1, 7, 8, 9, 17} {
+		for _, n := range []int{1, 3, 8, 16, 21} {
+			src := make([]float64, m*n)
+			for i := range src {
+				src[i] = float64(i + 1)
+			}
+			dst := make([]float64, m*n)
+			TransposeInto(dst, src, m, n)
+			for i := 0; i < m; i++ {
+				for j := 0; j < n; j++ {
+					if dst[j*m+i] != src[i*n+j] {
+						t.Fatalf("%dx%d: dst[%d][%d] = %v, want %v", m, n, j, i, dst[j*m+i], src[i*n+j])
+					}
+				}
+			}
+		}
+	}
+}
+
 // Property: Col2Im(Im2Col(x)) with a 1×1 kernel and stride 1 is the identity.
 func TestIm2ColIdentityProperty(t *testing.T) {
 	f := func(seed int64) bool {
