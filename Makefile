@@ -95,9 +95,11 @@ perfbench-test:
 # a warm inference workspace, BenchmarkTrainLayers one per convolution,
 # dense and BiLSTM layer for a training forward plus backward pass, and
 # BenchmarkClassifyStages (internal/core) times each classify stage and the
-# whole overlapped call against its critical path.
+# whole overlapped call against its critical path, and
+# BenchmarkEngineTickerWindow (internal/stream) one stream window through the
+# engine ticker at perfbench's geometry.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkInferLayers|BenchmarkTrainLayers|BenchmarkClassifyStages' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn ./internal/core
+	$(GO) test -run '^$$' -bench 'BenchmarkInferLayers|BenchmarkTrainLayers|BenchmarkClassifyStages|BenchmarkEngineTickerWindow' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn ./internal/core ./internal/stream
 
 # bench-smoke trains a deliberately tiny configuration, probes the serving
 # path, writes the machine-readable benchmark, and validates it: the only
@@ -137,7 +139,7 @@ crash-smoke:
 # fuzz-smoke runs every fuzz target for 20 s, one package:target pair per
 # FUZZ_TARGETS entry (go test fuzzes one target per run). It is kept out of
 # verify so verify's wall time does not grow; CI runs it as its own step.
-FUZZ_TARGETS = ./internal/bayes:FuzzCombinerUnmarshalBinary
+FUZZ_TARGETS = ./internal/bayes:FuzzCombinerUnmarshalBinary ./internal/wire:FuzzConnRecv
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -315,9 +315,9 @@ func (e *Engine) Classify(frame []float64, window imu.Window) (*Classification, 
 }
 
 // ClassifyCtx is Classify with span tracing: each model stage (CNN forward,
-// RNN forward, BN fusion) becomes a child of the span carried by ctx (or of
-// a fresh root when ctx carries none), and stage latencies feed the
-// darnet_core_* histograms.
+// RNN forward, BN fusion) becomes a child of a darnet_stage_classify span
+// under the span carried by ctx (or of a fresh root when ctx carries none),
+// and stage latencies feed the darnet_core_* histograms.
 //
 // Graceful degradation: an empty frame or an empty window selects the
 // corresponding single-modality mode instead of failing — the absent parent
@@ -328,13 +328,29 @@ func (e *Engine) Classify(frame []float64, window imu.Window) (*Classification, 
 // both modalities are absent is there nothing to classify and an error is
 // returned.
 func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Window) (*Classification, error) {
-	return e.classify(ctx, frame, collect.DistortNone, window)
+	return e.classifyCtx(ctx, frame, collect.DistortNone, window)
 }
 
-// classify is ClassifyCtx for a frame distorted to level. It runs the three
-// stages every served window goes through — the CNN (checkFrame, then
-// cnnForward), WindowProbs and Fuse — so a distorted remote request gets
-// the same spans, histograms and error count as an undistorted one.
+// ClassifyUntraced is ClassifyCtx without spans, for a caller that traces
+// around the call itself (the stream pipeline's tick span): it opens no
+// trace root, so it takes nothing from the tracer's sampling budget.
+func (e *Engine) ClassifyUntraced(frame []float64, window imu.Window) (*Classification, error) {
+	return e.classify(nil, frame, collect.DistortNone, window)
+}
+
+// classifyCtx runs classify for a frame distorted to level under a
+// darnet_stage_classify span, so a distorted remote request gets the same
+// spans as ClassifyCtx.
+func (e *Engine) classifyCtx(ctx context.Context, frame []float64, level collect.DistortionLevel, window imu.Window) (*Classification, error) {
+	_, span := telemetry.DefaultTracer.StartSpan(ctx, "darnet_stage_classify")
+	defer span.End()
+	return e.classify(span, frame, level, window)
+}
+
+// classify runs the three stages every served window goes through — the CNN
+// (checkFrame, then cnnForward), WindowProbs and Fuse — as children of span
+// (nil traces nothing), so every caller gets the same histograms and error
+// count.
 //
 // The CNN and the RNN are the Bayesian Network's two independent parents,
 // so with both modalities present the CNN runs on a goroutine of its own
@@ -342,10 +358,8 @@ func (e *Engine) ClassifyCtx(ctx context.Context, frame []float64, window imu.Wi
 // stage's time rather than the sum. The frame's cheap checks run first, so
 // a rejected frame fails before the RNN starts. The join waits for the CNN
 // whatever happens, and a CNN error takes precedence over an RNN error.
-func (e *Engine) classify(ctx context.Context, frame []float64, level collect.DistortionLevel, window imu.Window) (*Classification, error) {
+func (e *Engine) classify(span *telemetry.Span, frame []float64, level collect.DistortionLevel, window imu.Window) (*Classification, error) {
 	start := time.Now()
-	_, span := telemetry.DefaultTracer.StartSpan(ctx, "darnet_stage_classify")
-	defer span.End()
 
 	// cnn is one variable, so the goroutine's captures cost one allocation.
 	var cnn struct {
@@ -355,7 +369,6 @@ func (e *Engine) classify(ctx context.Context, frame []float64, level collect.Di
 	}
 	if len(frame) > 0 {
 		if err := e.checkFrame(frame, level); err != nil {
-			mClassifyErrors.Inc()
 			return nil, err
 		}
 		cnnSp := span.StartChild("darnet_stage_cnn_forward")
@@ -398,31 +411,40 @@ func (e *Engine) classify(ctx context.Context, frame []float64, level collect.Di
 
 // Each stage below feeds its darnet_core_*_seconds histogram and counts a
 // failure in darnet_core_classify_errors_total, so ClassifyCtx and the
-// streaming pipeline, which calls the stages one at a time at its own
-// cadence, are timed and counted alike.
+// streaming pipeline, which checks a frame when it arrives and classifies
+// it with the window that completes next, are timed and counted alike.
 
 // FrameProbs runs only the CNN modality over one undistorted flattened
-// frame, for streaming callers that manage their own modality cadence
-// (frame-skipping reuses the previous result instead of calling this).
+// frame: CheckFrame, then the forward pass.
 func (e *Engine) FrameProbs(frame []float64) ([]float64, error) {
-	if err := e.checkFrame(frame, collect.DistortNone); err != nil {
-		mClassifyErrors.Inc()
+	if err := e.CheckFrame(frame); err != nil {
 		return nil, err
 	}
 	return e.cnnForward(frame, collect.DistortNone)
+}
+
+// CheckFrame is the CNN stage's input check for an undistorted frame alone,
+// for a streaming caller that checks a frame when it arrives but runs the
+// CNN only when a window decides.
+func (e *Engine) CheckFrame(frame []float64) error {
+	return e.checkFrame(frame, collect.DistortNone)
 }
 
 // checkFrame is the CNN stage's input check, cheap enough to run before
 // anything else: the pixel count, and an attached router for a distorted
 // level.
 func (e *Engine) checkFrame(frame []float64, level collect.DistortionLevel) error {
+	var err error
 	switch {
 	case len(frame) != e.ImgW*e.ImgH:
-		return fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
+		err = fmt.Errorf("core: frame has %d pixels, want %d", len(frame), e.ImgW*e.ImgH)
 	case level != collect.DistortNone && e.dcnn == nil:
-		return fmt.Errorf("core: no dCNN router attached for distortion level %v", level)
+		err = fmt.Errorf("core: no dCNN router attached for distortion level %v", level)
 	}
-	return nil
+	if err != nil {
+		mClassifyErrors.Inc()
+	}
+	return err
 }
 
 // cnnForward is the CNN stage over a frame that passed checkFrame: the

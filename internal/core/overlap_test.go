@@ -148,7 +148,7 @@ func TestClassifyRejectsFrameBeforeRNN(t *testing.T) {
 		{"no router", frame, collect.DistortLow},
 	} {
 		errs, rnnRuns := mClassifyErrors.Value(), hRNNForward.Count()
-		if _, err := eng.classify(ctx, tc.frame, tc.level, window); err == nil {
+		if _, err := eng.classifyCtx(ctx, tc.frame, tc.level, window); err == nil {
 			t.Fatalf("%s: classified", tc.name)
 		}
 		if d := mClassifyErrors.Value() - errs; d != 1 {
@@ -179,7 +179,7 @@ func TestClassifyCNNErrorWins(t *testing.T) {
 	if _, err := eng.WindowProbs(window); err == nil {
 		t.Fatal("a 12-feature RNN classified a 13-feature window")
 	}
-	if _, err := eng.classify(context.Background(), frame, collect.DistortMedium, window); err == nil || err.Error() != cnnErr.Error() {
+	if _, err := eng.classifyCtx(context.Background(), frame, collect.DistortMedium, window); err == nil || err.Error() != cnnErr.Error() {
 		t.Fatalf("classify returned %v, want the CNN's %v", err, cnnErr)
 	}
 }
@@ -219,7 +219,7 @@ func TestClassifyLeavesNoGoroutine(t *testing.T) {
 		if _, err := eng.ClassifyCtx(ctx, frame, window); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.classify(ctx, frame, collect.DistortMedium, window); err == nil {
+		if _, err := eng.classifyCtx(ctx, frame, collect.DistortMedium, window); err == nil {
 			t.Fatal("the DistortMedium stage ran without a student")
 		}
 	}

@@ -68,7 +68,7 @@ func (e *Engine) answer(ctx context.Context, req *wire.ClassifyRequest) *wire.Cl
 	if err != nil {
 		return &wire.ClassifyResponse{Error: err.Error()}
 	}
-	res, err := e.classify(ctx, req.Frame, collect.DistortionLevel(req.Distortion), window)
+	res, err := e.classifyCtx(ctx, req.Frame, collect.DistortionLevel(req.Distortion), window)
 	if err != nil {
 		return &wire.ClassifyResponse{Error: err.Error()}
 	}

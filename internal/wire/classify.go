@@ -54,6 +54,9 @@ func (m *ClassifyRequest) decodeBody(r *reader) error {
 	if n > 1<<22 {
 		return fmt.Errorf("wire: classify frame of %d pixels rejected", n)
 	}
+	if !r.fits(n, 8) {
+		return r.err
+	}
 	m.Frame = make([]float64, n)
 	for i := range m.Frame {
 		m.Frame[i] = r.f64()
@@ -67,6 +70,9 @@ func (m *ClassifyRequest) decodeBody(r *reader) error {
 	}
 	if wn > 1<<20 {
 		return fmt.Errorf("wire: classify window of %d values rejected", wn)
+	}
+	if !r.fits(wn, 8) {
+		return r.err
 	}
 	m.Window = make([]float64, wn)
 	for i := range m.Window {
@@ -114,6 +120,9 @@ func (m *ClassifyResponse) decodeBody(r *reader) error {
 	}
 	if n > 1<<12 {
 		return fmt.Errorf("wire: classify response with %d probabilities rejected", n)
+	}
+	if !r.fits(n, 8) {
+		return r.err
 	}
 	m.Probs = make([]float64, n)
 	for i := range m.Probs {

@@ -178,6 +178,10 @@ func (m *SampleBatch) decodeBody(r *reader) error {
 	if n > 1<<20 {
 		return fmt.Errorf("%w: batch of %d readings rejected", ErrFieldTooLarge, n)
 	}
+	// A reading is at least a timestamp, a string length and a value count.
+	if !r.fits(n, 8+4+4) {
+		return r.err
+	}
 	m.Readings = make([]Reading, n)
 	for i := range m.Readings {
 		m.Readings[i].TimestampMillis = r.i64()
@@ -189,6 +193,9 @@ func (m *SampleBatch) decodeBody(r *reader) error {
 		if vn > 1<<22 {
 			return fmt.Errorf("%w: reading with %d values rejected", ErrFieldTooLarge, vn)
 		}
+		if !r.fits(vn, 8) {
+			return r.err
+		}
 		m.Readings[i].Values = make([]float64, vn)
 		for j := range m.Readings[i].Values {
 			m.Readings[i].Values[j] = r.f64()
@@ -199,9 +206,10 @@ func (m *SampleBatch) decodeBody(r *reader) error {
 	}
 	// Optional v4 trace context: a v3 frame simply ends here, leaving Trace
 	// zero ("no trace"). The field is consumed only when exactly its size
-	// remains — a partial or padded remainder is left in place, so Recv's
-	// trailing-bytes check rejects it like any other corruption.
-	if len(r.buf)-r.off == traceFieldSize {
+	// remains and it names a trace, as encodeBody writes it — a partial or
+	// padded remainder, or one with both IDs zero, is left in place, so
+	// Recv's trailing-bytes check rejects it like any other corruption.
+	if rest := r.buf[r.off:]; len(rest) == traceFieldSize && binary.BigEndian.Uint64(rest)|binary.BigEndian.Uint64(rest[8:]) != 0 {
 		m.Trace.TraceID = r.u64()
 		m.Trace.SpanID = r.u64()
 		m.Trace.Sampled = r.u8()&1 != 0
@@ -481,6 +489,16 @@ type reader struct {
 	buf []byte
 	off int
 	err error
+}
+
+// fits reports whether n fields of at least size bytes each remain in the
+// frame, recording ErrTruncatedFrame when they do not, so a corrupt count
+// fails before it sizes an allocation rather than after.
+func (r *reader) fits(n uint32, size int) bool {
+	if r.err == nil && uint64(n)*uint64(size) > uint64(len(r.buf)-r.off) {
+		r.err = ErrTruncatedFrame
+	}
+	return r.err == nil
 }
 
 func (r *reader) take(n int) []byte {
