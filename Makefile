@@ -62,13 +62,16 @@ vet:
 # data the loader asks `go list -export` for, which after an edit to a deep
 # package costs more CPU than the sweep. CPU rather than wall time, so a
 # busy host cannot fail a clean sweep; bash's `time` keyword measures it,
-# since make's /bin/sh may lack one.
+# since make's /bin/sh may lack one. The binary and the timing go to a
+# fresh temporary directory, removed on exit, so two checkouts verifying at
+# once on one host never share either.
 lint:
-	@$(GO) build -o /tmp/darnet-lint-verify ./cmd/darnet-lint
-	@$(GO) list -export -e -deps ./... > /dev/null
-	@bash -c 'TIMEFORMAT="%3U %3S"; { time /tmp/darnet-lint-verify -timings ./... 2>&3; } 3>&2 2>/tmp/darnet-lint-cpu'; \
+	@tmp=$$(mktemp -d) || exit; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/darnet-lint" ./cmd/darnet-lint || exit; \
+	$(GO) list -export -e -deps ./... > /dev/null || exit; \
+	bash -c "TIMEFORMAT='%3U %3S'; { time '$$tmp/darnet-lint' -timings ./... 2>&3; } 3>&2 2>'$$tmp/cpu'"; \
 	rc=$$?; if [ $$rc -ne 0 ]; then exit $$rc; fi; \
-	ms=$$(awk '{ printf "%d", ($$1 + $$2) * 1000 }' /tmp/darnet-lint-cpu); \
+	ms=$$(awk '{ printf "%d", ($$1 + $$2) * 1000 }' "$$tmp/cpu"); \
 	echo "lint: module sweep used $${ms}ms of CPU (budget $(LINT_BUDGET_MS)ms)"; \
 	if [ $$ms -gt $(LINT_BUDGET_MS) ]; then \
 		echo "lint: exceeded the $(LINT_BUDGET_MS)ms CPU-time budget"; exit 1; \

@@ -1,16 +1,15 @@
 // Command darnet-lint runs DarNet's project-specific static analyzers over
 // the module and exits non-zero on findings.
 //
-//	darnet-lint [-json|-sarif] [-list] [-timings] [packages...]
+//	darnet-lint [-sarif] [-list] [-timings] [packages...]
 //
 // Packages default to ./... (the whole module); "dir/..." subtree patterns
 // and plain directory paths are also accepted. Each finding is reported as
 //
 //	file:line:col: [rule] message
 //
-// or, with -json, as a JSON array of {file, line, col, rule, message}
-// objects, or, with -sarif, as a SARIF 2.1.0 log — all three sorted by
-// (file, line, column, rule) so CI can diff lint results across commits.
+// or, with -sarif, as a SARIF 2.1.0 log — both sorted by (file, line,
+// column, rule) so CI can diff lint results across commits.
 //
 // The matched packages are analyzed as one linked unit in dependency order:
 // one call graph spans them, so goleak, lockorder, hotalloc, ctxprop,
@@ -38,7 +37,6 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as JSON")
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	list := flag.Bool("list", false, "list registered analyzers and exit")
 	timings := flag.Bool("timings", false, "report per-phase and per-analyzer wall time on stderr")
@@ -51,10 +49,6 @@ func main() {
 		}
 		return
 	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "darnet-lint: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
 
 	patterns := flag.Args()
 	if len(patterns) == 0 {
@@ -66,18 +60,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var out string
-	switch {
-	case *jsonOut:
-		out, err = renderJSON(res.Diags)
-	case *sarifOut:
-		out, err = renderSARIF(res.Diags, analyzers)
-	default:
-		out = renderText(res.Diags)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "darnet-lint: %v\n", err)
-		os.Exit(2)
+	out := renderText(res.Diags)
+	if *sarifOut {
+		if out, err = renderSARIF(res.Diags, analyzers); err != nil {
+			fmt.Fprintf(os.Stderr, "darnet-lint: %v\n", err)
+			os.Exit(2)
+		}
 	}
 	fmt.Print(out)
 

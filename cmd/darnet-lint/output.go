@@ -1,4 +1,4 @@
-// Output rendering for darnet-lint. All three formats print findings in the
+// Output rendering for darnet-lint. Both formats print findings in the
 // same (file, line, column, rule) order the lint package sorts into, so any
 // two runs over the same tree produce byte-identical output.
 package main
@@ -22,29 +22,6 @@ func renderText(diags []lint.Diagnostic) string {
 		fmt.Fprintf(&b, "%s:%d:%d: [%s] %s\n", relPath(d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Rule, d.Message)
 	}
 	return b.String()
-}
-
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-func renderJSON(diags []lint.Diagnostic) (string, error) {
-	out := make([]jsonFinding, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonFinding{
-			File: relPath(d.Pos.Filename), Line: d.Pos.Line, Col: d.Pos.Column,
-			Rule: d.Rule, Message: d.Message,
-		})
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return "", err
-	}
-	return string(data) + "\n", nil
 }
 
 // Minimal SARIF 2.1.0 structures: one run, one result per finding, the rule

@@ -7,136 +7,147 @@ import (
 )
 
 // This file is the flow-sensitive intermediate representation the
-// concurrency analyzers (chanlife, atomicmix, qbound) run on: a lightweight
+// concurrency analyzers (chanlife, qbound) run on: a lightweight
 // per-function control-flow graph of basic blocks with branch-condition
-// facts on the edges, plus def-use chains for the function's local
-// variables. It is deliberately SSA-lite — no phi nodes, no virtual
-// registers — because the analyses that need it track a small number of
-// facts per *types.Var and join at block boundaries; a full SSA form would
-// buy precision these lattices cannot represent anyway.
+// facts on the edges, and the one path query both ask of it. It is
+// deliberately SSA-lite — no phi nodes, no virtual registers, no def-use
+// index — because the analyses that need it track a small number of facts
+// per *types.Var and join at block boundaries; a full SSA form would buy
+// precision these lattices cannot represent anyway.
 //
-// The graph is built once per function and memoized on the IPA (see
-// IPA.FlowGraph), so analyzers share one construction, and AnalyzeModule
-// can force it eagerly to account IR construction as its own -timings
-// phase.
+// A graph is built on first use and memoized on the IPA (see
+// IPA.flowGraph), so only the functions an analyzer examines pay for one,
+// and analyzers share that construction.
 
-// Block is one basic block: statements and evaluated conditions in source
+// block is one basic block: statements and evaluated conditions in source
 // order, ending in zero or more successor edges. A block with no successors
-// other than Exit ends the function (return, panic, or fallthrough off the
+// other than exit ends the function (return, panic, or fallthrough off the
 // body).
-type Block struct {
-	Index int
-	// Nodes are the statements and condition expressions evaluated in this
+type block struct {
+	index int
+	// nodes are the statements and condition expressions evaluated in this
 	// block, in execution order. Conditions of branches out of this block
 	// appear as their ast.Expr; comm statements of select clauses appear as
 	// the first node of the clause's block.
-	Nodes []ast.Node
-	Succs []Edge
-	Preds []*Block
+	nodes []ast.Node
+	succs []edge
 }
 
-// Edge is one control transfer. When Cond is non-nil the edge is taken only
-// when Cond evaluates to Sense, which is what lets dataflow refine facts
+// edge is one control transfer. When cond is non-nil the edge is taken only
+// when cond evaluates to sense, which is what lets dataflow refine facts
 // per branch ("ch != nil" on the true edge, a CAS that succeeded, ...).
-type Edge struct {
-	To    *Block
-	Cond  ast.Expr
-	Sense bool
+type edge struct {
+	to    *block
+	cond  ast.Expr
+	sense bool
 }
 
-// FlowGraph is the per-function CFG plus its def-use index.
-type FlowGraph struct {
-	Blocks []*Block
-	Entry  *Block
-	// Exit is the single synthetic exit block: every return, panic, and
+// flowGraph is the per-function CFG.
+type flowGraph struct {
+	blocks []*block
+	entry  *block
+	// exit is the single synthetic exit block: every return, panic, and
 	// fall-off-the-end edge lands here. It holds no nodes.
-	Exit *Block
-	// DefUse indexes the function's local variables (params included) to
-	// their definition and use sites inside this graph.
-	DefUse map[*types.Var]*VarChains
+	exit *block
 }
 
-// VarChains is the def-use record of one local variable.
-type VarChains struct {
-	// Defs are assignments (including := and the declaration itself when it
-	// has an initializer); Rhs is the defining expression when the
-	// assignment pairs one-to-one, nil otherwise (multi-value, ++/--).
-	Defs []ChainSite
-	// Uses are reads of the variable.
-	Uses []ChainSite
+// reaches is the graph's one path query: it reports whether some path
+// from `from` enters a block where to holds without taking an edge where
+// cutEdge holds or entering a block where cutBlock holds. from itself is
+// tested against cutBlock and to. Either cut may be nil.
+func (fg *flowGraph) reaches(from *block, to func(*block) bool, cutEdge func(edge) bool, cutBlock func(*block) bool) bool {
+	seen := make([]bool, len(fg.blocks))
+	stack := []*block{from}
+	for len(stack) > 0 {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if seen[b.index] {
+			continue
+		}
+		seen[b.index] = true
+		if cutBlock != nil && cutBlock(b) {
+			continue
+		}
+		if to(b) {
+			return true
+		}
+		for _, e := range b.succs {
+			if cutEdge == nil || !cutEdge(e) {
+				stack = append(stack, e.to)
+			}
+		}
+	}
+	return false
 }
 
-// ChainSite is one def or use, anchored to its block.
-type ChainSite struct {
-	Block *Block
-	Node  ast.Node
-	Rhs   ast.Expr // defs only
-	Pos   token.Pos
+// ends reports whether a path stops at b: the exit block, or a block with
+// no successors, which the analyses count as leaving the function.
+func (fg *flowGraph) ends(b *block) bool {
+	return b == fg.exit || len(b.succs) == 0
 }
 
-// cfgBuilder incrementally builds a FlowGraph from a function body.
+// cfgBuilder incrementally builds a flowGraph from a function body.
 type cfgBuilder struct {
-	fg  *FlowGraph
-	cur *Block
+	fg  *flowGraph
+	cur *block
 
 	// break/continue targets, innermost last. Each frame carries the label
 	// of the statement it belongs to ("" for unlabeled).
 	breaks    []branchTarget
 	continues []branchTarget
-	labels    map[string]*Block // goto targets
+	labels    map[string]*block // goto targets
 	gotos     []pendingGoto
 }
 
 type branchTarget struct {
 	label string
-	block *Block
+	block *block
 }
 
 type pendingGoto struct {
-	from  *Block
+	from  *block
 	label string
 }
 
-// BuildCFG constructs the control-flow graph of one function body. The body
+// buildCFG constructs the control-flow graph of one function body. The body
 // may be nil (external declarations) — the graph is then entry→exit only.
-func BuildCFG(body *ast.BlockStmt) *FlowGraph {
-	fg := &FlowGraph{DefUse: make(map[*types.Var]*VarChains)}
-	b := &cfgBuilder{fg: fg, labels: make(map[string]*Block)}
-	fg.Entry = b.newBlock()
-	fg.Exit = b.newBlock()
-	b.cur = fg.Entry
+func buildCFG(body *ast.BlockStmt) *flowGraph {
+	fg := &flowGraph{}
+	b := &cfgBuilder{fg: fg, labels: make(map[string]*block)}
+	fg.entry = b.newBlock()
+	fg.exit = b.newBlock()
+	b.cur = fg.entry
 	if body != nil {
 		b.stmts(body.List)
 	}
-	b.edge(b.cur, fg.Exit, nil, false)
+	b.edge(b.cur, fg.exit, nil, false)
 	for _, g := range b.gotos {
 		if target, ok := b.labels[g.label]; ok {
 			b.edge(g.from, target, nil, false)
 		} else {
-			b.edge(g.from, fg.Exit, nil, false)
+			b.edge(g.from, fg.exit, nil, false)
 		}
 	}
 	return fg
 }
 
-func (b *cfgBuilder) newBlock() *Block {
-	blk := &Block{Index: len(b.fg.Blocks)}
-	b.fg.Blocks = append(b.fg.Blocks, blk)
+func (b *cfgBuilder) newBlock() *block {
+	blk := &block{index: len(b.fg.blocks)}
+	b.fg.blocks = append(b.fg.blocks, blk)
 	return blk
 }
 
-func (b *cfgBuilder) edge(from, to *Block, cond ast.Expr, sense bool) {
+func (b *cfgBuilder) edge(from, to *block, cond ast.Expr, sense bool) {
 	if from == nil || to == nil {
 		return
 	}
-	from.Succs = append(from.Succs, Edge{To: to, Cond: cond, Sense: sense})
-	to.Preds = append(to.Preds, from)
+	from.succs = append(from.succs, edge{to: to, cond: cond, sense: sense})
 }
 
 // add appends a node to the current block.
 func (b *cfgBuilder) add(n ast.Node) {
 	if n != nil {
-		b.cur.Nodes = append(b.cur.Nodes, n)
+		b.cur.nodes = append(b.cur.nodes, n)
 	}
 }
 
@@ -148,7 +159,7 @@ func (b *cfgBuilder) stmts(list []ast.Stmt) {
 
 // terminate ends the current block with an edge to `to` and starts a fresh
 // (initially unreachable) block for any trailing dead code.
-func (b *cfgBuilder) terminate(to *Block) {
+func (b *cfgBuilder) terminate(to *block) {
 	b.edge(b.cur, to, nil, false)
 	b.cur = b.newBlock()
 }
@@ -218,7 +229,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 
 	case *ast.ReturnStmt:
 		b.add(x)
-		b.terminate(b.fg.Exit)
+		b.terminate(b.fg.exit)
 
 	case *ast.BranchStmt:
 		label := ""
@@ -230,13 +241,13 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 			if t := findTarget(b.breaks, label); t != nil {
 				b.terminate(t)
 			} else {
-				b.terminate(b.fg.Exit)
+				b.terminate(b.fg.exit)
 			}
 		case token.CONTINUE:
 			if t := findTarget(b.continues, label); t != nil {
 				b.terminate(t)
 			} else {
-				b.terminate(b.fg.Exit)
+				b.terminate(b.fg.exit)
 			}
 		case token.GOTO:
 			b.gotos = append(b.gotos, pendingGoto{from: b.cur, label: label})
@@ -249,7 +260,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	case *ast.ExprStmt:
 		b.add(x)
 		if isPanicCall(x.X) {
-			b.terminate(b.fg.Exit)
+			b.terminate(b.fg.exit)
 		}
 
 	default:
@@ -259,7 +270,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 	}
 }
 
-func findTarget(stack []branchTarget, label string) *Block {
+func findTarget(stack []branchTarget, label string) *block {
 	if len(stack) == 0 {
 		return nil
 	}
@@ -345,7 +356,7 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Expr, body *ast.BlockStm
 			clauses = append(clauses, cc)
 		}
 	}
-	blocks := make([]*Block, len(clauses))
+	blocks := make([]*block, len(clauses))
 	hasDefault := false
 	for i, cc := range clauses {
 		blocks[i] = b.newBlock()
@@ -354,7 +365,7 @@ func (b *cfgBuilder) buildSwitch(init ast.Stmt, tag ast.Expr, body *ast.BlockStm
 		}
 		// Case guard expressions are evaluated in the dispatch block.
 		for _, e := range cc.List {
-			evalBlock.Nodes = append(evalBlock.Nodes, e)
+			evalBlock.nodes = append(evalBlock.nodes, e)
 		}
 		b.edge(evalBlock, blocks[i], nil, false)
 	}
@@ -422,127 +433,17 @@ func isPanicCall(e ast.Expr) bool {
 	return ok && id.Name == "panic"
 }
 
-// --- Def-use chains ---------------------------------------------------------
-
-// buildDefUse walks the finished graph and indexes every local variable's
-// defs and uses. Only variables local to the analyzed function (params
-// included) are indexed; package-level vars and fields belong to coarser,
-// identity-keyed analyses (atomicmix).
-func buildDefUse(fg *FlowGraph, info *types.Info) {
-	record := func(blk *Block, id *ast.Ident, node ast.Node, rhs ast.Expr, isDef bool) {
-		var v *types.Var
-		if obj := info.Defs[id]; obj != nil {
-			v, _ = obj.(*types.Var)
-		} else if obj := info.Uses[id]; obj != nil {
-			v, _ = obj.(*types.Var)
-		}
-		if v == nil || v.IsField() || isPackageLevel(v) {
-			return
-		}
-		ch := fg.DefUse[v]
-		if ch == nil {
-			ch = &VarChains{}
-			fg.DefUse[v] = ch
-		}
-		site := ChainSite{Block: blk, Node: node, Rhs: rhs, Pos: id.Pos()}
-		if isDef {
-			ch.Defs = append(ch.Defs, site)
-		} else {
-			ch.Uses = append(ch.Uses, site)
-		}
-	}
-	for _, blk := range fg.Blocks {
-		for _, n := range blk.Nodes {
-			switch x := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range x.Lhs {
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-						var rhs ast.Expr
-						if len(x.Rhs) == len(x.Lhs) {
-							rhs = x.Rhs[i]
-						}
-						record(blk, id, x, rhs, true)
-					}
-				}
-				for _, rhs := range x.Rhs {
-					collectUses(blk, rhs, record)
-				}
-			case *ast.IncDecStmt:
-				if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-					record(blk, id, x, nil, true)
-					record(blk, id, x, nil, false)
-				}
-			case *ast.DeclStmt:
-				gd, ok := x.Decl.(*ast.GenDecl)
-				if !ok {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for i, name := range vs.Names {
-						var rhs ast.Expr
-						if len(vs.Values) == len(vs.Names) {
-							rhs = vs.Values[i]
-						}
-						record(blk, name, x, rhs, true)
-					}
-					for _, v := range vs.Values {
-						collectUses(blk, v, record)
-					}
-				}
-			case *ast.RangeStmt:
-				for _, lhs := range []ast.Expr{x.Key, x.Value} {
-					if lhs == nil {
-						continue
-					}
-					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-						record(blk, id, x, nil, true)
-					}
-				}
-				collectUses(blk, x.X, record)
-			default:
-				if e, usable := n.(ast.Expr); usable {
-					collectUses(blk, e, record)
-				} else {
-					ast.Inspect(n, func(sub ast.Node) bool {
-						if e, ok := sub.(ast.Expr); ok {
-							collectUses(blk, e, record)
-							return false
-						}
-						return true
-					})
-				}
-			}
-		}
-	}
-}
-
-func collectUses(blk *Block, e ast.Expr, record func(*Block, *ast.Ident, ast.Node, ast.Expr, bool)) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			record(blk, id, id, nil, false)
-		}
-		return true
-	})
-}
-
 func isPackageLevel(v *types.Var) bool {
 	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
-// --- IPA integration --------------------------------------------------------
-
-// FlowGraph returns the memoized control-flow graph of one function node,
+// flowGraph returns the memoized control-flow graph of one function node,
 // building it on first use. Analyzers reach it through Pass.IPA().
-func (ipa *IPA) FlowGraph(n *FuncNode) *FlowGraph {
-	if fg, ok := ipa.flows[n]; ok {
-		return fg
+func (ipa *IPA) flowGraph(n *FuncNode) *flowGraph {
+	fg, ok := ipa.flows[n]
+	if !ok {
+		fg = buildCFG(n.Body)
+		ipa.flows[n] = fg
 	}
-	fg := BuildCFG(n.Body)
-	buildDefUse(fg, n.Pkg.Info)
-	ipa.flows[n] = fg
 	return fg
 }

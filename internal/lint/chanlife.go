@@ -204,7 +204,7 @@ func (e *chanEngine) analyze(n *FuncNode) {
 type chanWalker struct {
 	eng    *chanEngine
 	node   *FuncNode
-	fg     *FlowGraph
+	fg     *flowGraph // built by run, only when a channel is tracked
 	info   *types.Info
 	fset   *token.FileSet
 	params []*types.Var // channel-typed parameters, by signature index
@@ -223,15 +223,20 @@ func newChanWalker(e *chanEngine, n *FuncNode) *chanWalker {
 	w := &chanWalker{
 		eng:        e,
 		node:       n,
-		fg:         e.ipa.FlowGraph(n),
 		info:       n.Pkg.Info,
 		fset:       n.Pkg.Fset,
 		tracked:    make(map[*types.Var]bool),
 		selectComm: make(map[ast.Node]bool),
 	}
+	// Track every local channel variable the body mentions, nested
+	// literals included, unless its address is taken.
 	addrTaken := make(map[*types.Var]bool)
 	ast.Inspect(n.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
+		case *ast.Ident:
+			if v, ok := w.info.ObjectOf(x).(*types.Var); ok && isChanVar(v) && !v.IsField() && !isPackageLevel(v) {
+				w.tracked[v] = true
+			}
 		case *ast.UnaryExpr:
 			if x.Op == token.AND {
 				if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
@@ -249,10 +254,8 @@ func newChanWalker(e *chanEngine, n *FuncNode) *chanWalker {
 		}
 		return true
 	})
-	for v := range w.fg.DefUse {
-		if isChanVar(v) && !addrTaken[v] {
-			w.tracked[v] = true
-		}
+	for v := range addrTaken {
+		delete(w.tracked, v)
 	}
 	for i, p := range funcParams(n) {
 		v, ok := w.info.Defs[p].(*types.Var)
@@ -305,9 +308,10 @@ func isBuiltinName(info *types.Info, e ast.Expr, name string) bool {
 
 func (w *chanWalker) run() {
 	if len(w.tracked) == 0 {
-		return
+		return // no graph needed: nothing to track
 	}
-	blocks := w.fg.Blocks
+	w.fg = w.eng.ipa.flowGraph(w.node)
+	blocks := w.fg.blocks
 	w.in = make([]chanEnv, len(blocks))
 	entry := make(chanEnv)
 	for _, p := range w.params {
@@ -315,32 +319,32 @@ func (w *chanWalker) run() {
 			entry[p] = unknownChan()
 		}
 	}
-	w.in[w.fg.Entry.Index] = entry
+	w.in[w.fg.entry.index] = entry
 
 	// Fixpoint: joins accumulate monotonically in a finite lattice.
-	work := []*Block{w.fg.Entry}
-	queued := map[*Block]bool{w.fg.Entry: true}
+	work := []*block{w.fg.entry}
+	queued := map[*block]bool{w.fg.entry: true}
 	for iter := 0; len(work) > 0 && iter < 64*len(blocks)+256; iter++ {
 		blk := work[0]
 		work = work[1:]
 		queued[blk] = false
-		out := w.transferBlock(blk, w.in[blk.Index].clone())
-		for _, edge := range blk.Succs {
+		out := w.transferBlock(blk, w.in[blk.index].clone())
+		for _, e := range blk.succs {
 			next := out.clone()
-			if edge.Cond != nil {
-				w.applyCond(next, edge.Cond, edge.Sense)
+			if e.cond != nil {
+				w.applyCond(next, e.cond, e.sense)
 			}
-			old := w.in[edge.To.Index]
+			old := w.in[e.to.index]
 			var before chanEnv
 			if old != nil {
 				before = old.clone()
 			}
 			joined := joinEnvInto(old, next)
-			w.in[edge.To.Index] = joined
+			w.in[e.to.index] = joined
 			if before == nil || !envEqual(joined, before) {
-				if !queued[edge.To] {
-					queued[edge.To] = true
-					work = append(work, edge.To)
+				if !queued[e.to] {
+					queued[e.to] = true
+					work = append(work, e.to)
 				}
 			}
 		}
@@ -349,19 +353,19 @@ func (w *chanWalker) run() {
 	// One reporting pass over the stable states.
 	w.reporting = true
 	for _, blk := range blocks {
-		if w.in[blk.Index] == nil {
+		if w.in[blk.index] == nil {
 			continue // unreachable
 		}
-		w.transferBlock(blk, w.in[blk.Index].clone())
+		w.transferBlock(blk, w.in[blk.index].clone())
 	}
 	w.reporting = false
 }
 
-func (w *chanWalker) transferBlock(blk *Block, env chanEnv) chanEnv {
+func (w *chanWalker) transferBlock(blk *block, env chanEnv) chanEnv {
 	if env == nil {
 		env = make(chanEnv)
 	}
-	for i, node := range blk.Nodes {
+	for i, node := range blk.nodes {
 		w.transferNode(blk, i, node, env)
 	}
 	return env
@@ -374,7 +378,7 @@ func (w *chanWalker) get(env chanEnv, v *types.Var) chanAbs {
 	return unknownChan()
 }
 
-func (w *chanWalker) transferNode(blk *Block, idx int, node ast.Node, env chanEnv) {
+func (w *chanWalker) transferNode(blk *block, idx int, node ast.Node, env chanEnv) {
 	switch x := node.(type) {
 	case *ast.AssignStmt:
 		for _, rhs := range x.Rhs {
@@ -473,15 +477,10 @@ func (w *chanWalker) lhsVar(id *ast.Ident) *types.Var {
 
 // chanOperand resolves an expression to a tracked channel variable, or nil.
 func (w *chanWalker) chanOperand(e ast.Expr) *types.Var {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
+	if v := w.identVar(e); w.tracked[v] {
+		return v
 	}
-	v, _ := w.info.Uses[id].(*types.Var)
-	if v == nil || !w.tracked[v] {
-		return nil
-	}
-	return v
+	return nil
 }
 
 // abstractOf evaluates the abstract channel value of an assignment RHS.
@@ -825,7 +824,7 @@ func (w *chanWalker) summarizeEffects() *chanEffects {
 	}
 	var exit chanEnv
 	if w.in != nil {
-		exit = w.in[w.fg.Exit.Index]
+		exit = w.in[w.fg.exit.index]
 	}
 	for i, p := range w.params {
 		if p == nil {
@@ -837,15 +836,9 @@ func (w *chanWalker) summarizeEffects() *chanEffects {
 			pe.mustClose = st.mustClosed || st.deferClose
 			pe.mayClose = st.mayClosed || st.deferClose
 		}
-		ast.Inspect(w.node.Body, func(node ast.Node) bool {
-			if s, ok := node.(*ast.SendStmt); ok {
-				if id, ok := ast.Unparen(s.Chan).(*ast.Ident); ok {
-					if v, _ := w.info.Uses[id].(*types.Var); v == p {
-						pe.maySend = true
-					}
-				}
-			}
-			return true
+		pe.maySend = anyNode(w.node.Body, false, func(node ast.Node) bool {
+			s, ok := node.(*ast.SendStmt)
+			return ok && w.identVar(s.Chan) == p
 		})
 		if pe.mustClose || pe.mayClose || pe.maySend {
 			eff.params[i] = pe
@@ -862,7 +855,7 @@ func (w *chanWalker) summarizeEffects() *chanEffects {
 // forever and the goroutine leaks. This is the spawner-side, path-sensitive
 // refinement of goleak: goleak asks "can the spawned body block", this asks
 // "does the spawner guarantee the rendezvous".
-func (w *chanWalker) orphanCheck(blk *Block, idx int, g *ast.GoStmt, env chanEnv) {
+func (w *chanWalker) orphanCheck(blk *block, idx int, g *ast.GoStmt, env chanEnv) {
 	if !w.reporting {
 		return
 	}
@@ -892,27 +885,21 @@ func (w *chanWalker) orphanCheck(blk *Block, idx int, g *ast.GoStmt, env chanEnv
 // (non-select) send on v, outside nested literals. The literal is nested in
 // the walker's body, so its select comms are already in selectComm.
 func (w *chanWalker) litBareSendsOn(lit *ast.FuncLit, v *types.Var) bool {
-	found := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return x == lit
-		case *ast.SendStmt:
-			if w.selectComm[x] {
-				return true
-			}
-			if id, ok := ast.Unparen(x.Chan).(*ast.Ident); ok {
-				if cv, _ := w.info.Uses[id].(*types.Var); cv == v {
-					found = true
-				}
-			}
-		}
-		return true
+	return anyNode(lit.Body, true, func(n ast.Node) bool {
+		s, ok := n.(*ast.SendStmt)
+		return ok && !w.selectComm[s] && w.identVar(s.Chan) == v
 	})
-	return found
+}
+
+// identVar resolves e to the variable it names when it is a bare
+// identifier, or nil.
+func (w *chanWalker) identVar(e ast.Expr) *types.Var {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, _ := w.info.Uses[id].(*types.Var)
+	return v
 }
 
 // escapesBeyond reports whether v is referenced anywhere the analysis
@@ -933,7 +920,7 @@ func (w *chanWalker) escapesBeyond(v *types.Var, spawnLit *ast.FuncLit) bool {
 				// producer under analysis.
 				return
 			}
-			if usesVar(w.info, x, v) {
+			if usesVar(w.info, x, v, false) {
 				escaped = true
 			}
 			return
@@ -944,26 +931,26 @@ func (w *chanWalker) escapesBeyond(v *types.Var, spawnLit *ast.FuncLit) bool {
 				break
 			}
 			for _, arg := range x.Args {
-				if idUsesVar(w.info, arg, v) {
+				if usesVar(w.info, arg, v, true) {
 					escaped = true
 					return
 				}
 			}
 		case *ast.ReturnStmt:
 			for _, r := range x.Results {
-				if idUsesVar(w.info, r, v) {
+				if usesVar(w.info, r, v, true) {
 					escaped = true
 					return
 				}
 			}
 		case *ast.CompositeLit:
-			if usesVar(w.info, x, v) {
+			if usesVar(w.info, x, v, false) {
 				escaped = true
 				return
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range x.Rhs {
-				if !idUsesVar(w.info, rhs, v) {
+				if !usesVar(w.info, rhs, v, true) {
 					continue
 				}
 				// v on the RHS aliases it into another name unless this is
@@ -991,98 +978,46 @@ func (w *chanWalker) escapesBeyond(v *types.Var, spawnLit *ast.FuncLit) bool {
 	return escaped
 }
 
-func usesVar(info *types.Info, n ast.Node, v *types.Var) bool {
-	found := false
-	ast.Inspect(n, func(sub ast.Node) bool {
-		if id, ok := sub.(*ast.Ident); ok {
-			if uv, _ := info.Uses[id].(*types.Var); uv == v {
-				found = true
-			}
-		}
-		return !found
+// usesVar reports whether n mentions v; with skipLits, mentions inside
+// nested literals (classified separately) do not count.
+func usesVar(info *types.Info, n ast.Node, v *types.Var, skipLits bool) bool {
+	return anyNode(n, skipLits, func(sub ast.Node) bool {
+		id, ok := sub.(*ast.Ident)
+		return ok && info.Uses[id] == types.Object(v)
 	})
-	return found
-}
-
-// idUsesVar reports whether expression e mentions v directly (not through a
-// nested literal, which is classified separately).
-func idUsesVar(info *types.Info, e ast.Expr, v *types.Var) bool {
-	found := false
-	ast.Inspect(e, func(sub ast.Node) bool {
-		if _, ok := sub.(*ast.FuncLit); ok {
-			return false
-		}
-		if id, ok := sub.(*ast.Ident); ok {
-			if uv, _ := info.Uses[id].(*types.Var); uv == v {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }
 
 // canReachExitWithoutRecv reports whether some path from just after the
 // spawn point reaches the exit block without passing a receive on v. A
 // block containing a receive (bare, comma-ok, select comm, or range) is a
 // barrier: every path through it receives.
-func (w *chanWalker) canReachExitWithoutRecv(start *Block, fromIdx int, v *types.Var) bool {
-	if blockHasRecv(w.info, start.Nodes[fromIdx:], v) {
+func (w *chanWalker) canReachExitWithoutRecv(start *block, fromIdx int, v *types.Var) bool {
+	if w.hasRecv(start.nodes[fromIdx:], v) {
 		return false
 	}
-	seen := map[*Block]bool{}
-	var walk func(b *Block) bool
-	walk = func(b *Block) bool {
-		if b == w.fg.Exit {
-			return true
-		}
-		if seen[b] {
-			return false
-		}
-		seen[b] = true
-		if blockHasRecv(w.info, b.Nodes, v) {
-			return false
-		}
-		for _, e := range b.Succs {
-			if walk(e.To) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, e := range start.Succs {
-		if walk(e.To) {
+	recv := func(b *block) bool { return w.hasRecv(b.nodes, v) }
+	exit := func(b *block) bool { return b == w.fg.exit }
+	for _, e := range start.succs {
+		if w.fg.reaches(e.to, exit, nil, recv) {
 			return true
 		}
 	}
 	return false
 }
 
-func blockHasRecv(info *types.Info, nodes []ast.Node, v *types.Var) bool {
+// hasRecv reports whether nodes receive from v, outside nested literals.
+func (w *chanWalker) hasRecv(nodes []ast.Node, v *types.Var) bool {
+	recv := func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.UnaryExpr:
+			return x.Op == token.ARROW && w.identVar(x.X) == v
+		case *ast.RangeStmt:
+			return w.identVar(x.X) == v
+		}
+		return false
+	}
 	for _, n := range nodes {
-		has := false
-		ast.Inspect(n, func(sub ast.Node) bool {
-			switch x := sub.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.UnaryExpr:
-				if x.Op == token.ARROW {
-					if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-						if uv, _ := info.Uses[id].(*types.Var); uv == v {
-							has = true
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				if id, ok := ast.Unparen(x.X).(*ast.Ident); ok {
-					if uv, _ := info.Uses[id].(*types.Var); uv == v {
-						has = true
-					}
-				}
-			}
-			return !has
-		})
-		if has {
+		if anyNode(n, true, recv) {
 			return true
 		}
 	}

@@ -209,3 +209,18 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
 }
+
+// anyNode reports whether pred holds for some node of root's subtree, root
+// included. With skipLits the search does not enter function literals (nor
+// a literal root): their code runs at some other time.
+func anyNode(root ast.Node, skipLits bool, pred func(ast.Node) bool) bool {
+	found := false
+	ast.Inspect(root, func(n ast.Node) bool {
+		if _, isLit := n.(*ast.FuncLit); found || isLit && skipLits {
+			return false
+		}
+		found = pred(n)
+		return !found
+	})
+	return found
+}

@@ -76,7 +76,7 @@ func (c chainedImporter) Import(path string) (*types.Package, error) {
 // export data; unlisted imports (e.g. fixture-only stdlib packages) resolve
 // lazily.
 func NewLoader(dir string) (*Loader, error) {
-	root, err := FindModuleRoot(dir)
+	root, err := findModuleRoot(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -98,8 +98,8 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// FindModuleRoot walks up from dir to the directory holding go.mod.
-func FindModuleRoot(dir string) (string, error) {
+// findModuleRoot walks up from dir to the directory holding go.mod.
+func findModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return "", err

@@ -31,8 +31,8 @@ type ModuleResult struct {
 	Diags    []Diagnostic
 	Packages int
 	// Phases records wall time for the pipeline stages: "load" (parse +
-	// type-check), "ir" (call graph, summaries, and flow graphs), and
-	// "analyze" (analyzer runs).
+	// type-check), "ir" (call graph and summaries), and "analyze"
+	// (analyzer runs, including the flow graphs they build).
 	Phases []Timing
 	// Spent is per-analyzer wall time in nanoseconds, summed across
 	// packages.
@@ -60,16 +60,11 @@ func AnalyzeModule(loader *Loader, pkgs [][2]string, analyzers []*Analyzer) (*Mo
 	}
 	loadT := time.Since(start)
 
-	// IR construction — call graph, summaries, and per-function flow
-	// graphs — is forced here so its cost is visible as its own phase
-	// rather than billed to whichever analyzer touches it first.
+	// The call graph and summaries are built here so their cost is visible
+	// as its own phase. Flow graphs are built on demand, for the functions
+	// chanlife and qbound examine, and count toward those analyzers.
 	start = time.Now()
 	ipa := buildIPA(loaded)
-	for _, pkg := range loaded {
-		for _, n := range ipa.Graph.NodesOf(pkg) {
-			ipa.FlowGraph(n)
-		}
-	}
 	irT := time.Since(start)
 
 	start = time.Now()

@@ -406,31 +406,7 @@ func TestModuleLockMutationDurable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	run := func(name, file, orig, mutated string) []lint.Diagnostic {
-		dir := t.TempDir()
-		hit := false
-		copyGoFiles(t, filepath.Join("..", "durable"), dir, func(f, content string) string {
-			if f != file {
-				return content
-			}
-			next := strings.Replace(content, orig, mutated, 1)
-			if next == content {
-				t.Fatalf("%s drifted: %q not found", file, orig)
-			}
-			hit = true
-			return next
-		})
-		if file != "" && !hit {
-			t.Fatalf("%s not seen while copying internal/durable", file)
-		}
-		res, err := lint.AnalyzeModule(loader, [][2]string{{dir, "darnet/internal/" + name}}, lint.All())
-		if err != nil {
-			t.Fatalf("AnalyzeModule(%s): %v", name, err)
-		}
-		return res.Diags
-	}
-
-	for _, d := range run("durableclean", "", "", "") {
+	for _, d := range lintMutant(t, loader, "durable", "durableclean", "", "", "") {
 		if d.Rule == "locksafe" || d.Rule == "lockorder" {
 			t.Fatalf("unmutated internal/durable must be lock-clean, got %s", d)
 		}
@@ -449,7 +425,7 @@ func TestModuleLockMutationDurable(t *testing.T) {
 			rule:    "lockorder", substr: "wal.mu ↔ wal.syncMu",
 		},
 	} {
-		diags := run(m.name, m.file, m.orig, m.mutated)
+		diags := lintMutant(t, loader, "durable", m.name, m.file, m.orig, m.mutated)
 		found := false
 		for _, d := range diags {
 			if d.Rule == m.rule && strings.Contains(d.Message, m.substr) {
@@ -460,6 +436,87 @@ func TestModuleLockMutationDurable(t *testing.T) {
 			t.Errorf("%s: want a %s finding containing %q, got %v", m.name, m.rule, m.substr, diags)
 		}
 	}
+}
+
+// lintMutant copies internal/<pkg>'s non-test files into a temp dir,
+// replacing orig with mutated once in file (no replacement when file is
+// ""), and returns the module analysis of the copy, linted as
+// darnet/internal/<name>.
+func lintMutant(t *testing.T, loader *lint.Loader, pkg, name, file, orig, mutated string) []lint.Diagnostic {
+	t.Helper()
+	dir := t.TempDir()
+	hit := false
+	copyGoFiles(t, filepath.Join("..", pkg), dir, func(f, content string) string {
+		if f != file {
+			return content
+		}
+		next := strings.Replace(content, orig, mutated, 1)
+		if next == content {
+			t.Fatalf("%s drifted: %q not found", file, orig)
+		}
+		hit = true
+		return next
+	})
+	if file != "" && !hit {
+		t.Fatalf("%s not seen while copying internal/%s", file, pkg)
+	}
+	res, err := lint.AnalyzeModule(loader, [][2]string{{dir, "darnet/internal/" + name}}, lint.All())
+	if err != nil {
+		t.Fatalf("AnalyzeModule(%s): %v", name, err)
+	}
+	return res.Diags
+}
+
+// TestModuleCtxpropMutationCore is the ctxprop acceptance check on real
+// code: Engine.classifyCtx starting its span from context.Background()
+// instead of its ctx severs the caller's trace and cancellation, and
+// ctxprop must report it. The unmutated copy of internal/core is clean.
+func TestModuleCtxpropMutationCore(t *testing.T) {
+	loader, err := mutLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	for _, d := range lintMutant(t, loader, "core", "coreclean", "", "", "") {
+		if d.Rule == "ctxprop" || d.Rule == "goleak" {
+			t.Fatalf("unmutated internal/core must be ctxprop- and goleak-clean, got %s", d)
+		}
+	}
+	diags := lintMutant(t, loader, "core", "coremut", "engine.go",
+		`StartSpan(ctx, "darnet_stage_classify")`,
+		`StartSpan(context.Background(), "darnet_stage_classify")`)
+	for _, d := range diags {
+		if d.Rule == "ctxprop" && strings.Contains(d.Message, "classifyCtx has a context parameter but passes context.Background to StartSpan") {
+			return
+		}
+	}
+	t.Fatalf("module analysis must catch the manufactured context, got %v", diags)
+}
+
+// TestModuleGoleakMutationCollect is the goleak acceptance check on real
+// code: the agent runner's spawned loop selects on its poll and flush
+// tickers beside r.stop. Hoisting the poll receive out of the select into
+// a bare receive leaves the goroutine waiting where no stop can reach it,
+// and goleak must report the go statement. The unmutated copy of
+// internal/collect is clean.
+func TestModuleGoleakMutationCollect(t *testing.T) {
+	loader, err := mutLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	for _, d := range lintMutant(t, loader, "collect", "collectclean", "", "", "") {
+		if d.Rule == "goleak" || d.Rule == "ctxprop" {
+			t.Fatalf("unmutated internal/collect must be goleak- and ctxprop-clean, got %s", d)
+		}
+	}
+	diags := lintMutant(t, loader, "collect", "collectmut", "runner.go",
+		"\t\tselect {\n\t\tcase <-poll.C:\n\t\t\tr.pollOnce()\n\t\tcase <-flush.C:",
+		"\t\t<-poll.C\n\t\tr.pollOnce()\n\t\tselect {\n\t\tcase <-flush.C:")
+	for _, d := range diags {
+		if d.Rule == "goleak" && strings.Contains(d.Message, "goroutine (*Runner).loop can block forever: channel receive at runner.go") {
+			return
+		}
+	}
+	t.Fatalf("module analysis must catch the loop's bare receive, got %v", diags)
 }
 
 // TestModuleAllocMutationTwoLevels is the hotalloc acceptance check: seeding

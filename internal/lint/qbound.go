@@ -173,20 +173,26 @@ type growSite struct {
 }
 
 func checkBoundedFunc(pass *Pass, n *FuncNode, bounded []*boundedField) {
-	grows := findGrows(pass.TypesInfo, n.Body, bounded)
+	info := pass.TypesInfo
+	grows := findGrows(info, n.Body, bounded)
 	if len(grows) == 0 {
 		return
 	}
-	fg := pass.IPA().FlowGraph(n)
-	relCache := map[*boundedField][]bool{}
+	fg := pass.IPA().flowGraph(n)
+	defs := localDefs(info, fg)
 	for _, g := range grows {
 		blk, nodeIdx := locateNode(fg, g.node)
 		if blk == nil {
 			continue // dead code the CFG dropped
 		}
-		guarded := dominatedByCheck(pass.TypesInfo, fg, blk, g.bf)
+		// A check edge compares a value derived from the field. The grow is
+		// guarded when no path from entry reaches it without crossing one
+		// or, for slices and maps, when no path from it reaches return
+		// without crossing one (the append-then-clamp idiom).
+		checks := func(e edge) bool { return condChecksField(info, defs, e.cond, g.bf) }
+		guarded := !fg.reaches(fg.entry, func(b *block) bool { return b == blk }, checks, nil)
 		if !guarded && g.bf.kind != boundCounter {
-			guarded = trimmedAfter(pass.TypesInfo, fg, blk, g.bf)
+			guarded = !fg.reaches(blk, fg.ends, checks, nil)
 		}
 		if !guarded {
 			switch g.bf.kind {
@@ -196,15 +202,8 @@ func checkBoundedFunc(pass *Pass, n *FuncNode, bounded []*boundedField) {
 				pass.Reportf(g.pos, "grow of bounded %s.%s has a path from function entry with no capacity check before it and no trim on every path to return", g.bf.typeName.Name(), g.bf.field.Name())
 			}
 		}
-		if g.bf.kind == boundCounter && g.kind == growCAS {
-			relOK := relCache[g.bf]
-			if relOK == nil {
-				relOK = releaseStates(pass.TypesInfo, fg, g.bf)
-				relCache[g.bf] = relOK
-			}
-			if !slotSettled(pass.TypesInfo, fg, relOK, blk, nodeIdx, g) {
-				pass.Reportf(g.pos, "admission on bounded %s.%s can reach return without committing the slot or releasing it: an early return here leaks capacity permanently", g.bf.typeName.Name(), g.bf.field.Name())
-			}
+		if g.bf.kind == boundCounter && g.kind == growCAS && !slotSettled(info, fg, blk, nodeIdx, g) {
+			pass.Reportf(g.pos, "admission on bounded %s.%s can reach return without committing the slot or releasing it: an early return here leaks capacity permanently", g.bf.typeName.Name(), g.bf.field.Name())
 		}
 	}
 }
@@ -331,17 +330,10 @@ func isBoundedSelector(info *types.Info, e ast.Expr, bf *boundedField) bool {
 
 // locateNode finds the block whose node list contains n (possibly nested
 // inside a statement or condition node) and the index of that top node.
-func locateNode(fg *FlowGraph, n ast.Node) (*Block, int) {
-	for _, blk := range fg.Blocks {
-		for i, top := range blk.Nodes {
-			found := false
-			ast.Inspect(top, func(sub ast.Node) bool {
-				if sub == n {
-					found = true
-				}
-				return !found
-			})
-			if found {
+func locateNode(fg *flowGraph, n ast.Node) (*block, int) {
+	for _, blk := range fg.blocks {
+		for i, top := range blk.nodes {
+			if anyNode(top, false, func(sub ast.Node) bool { return sub == n }) {
 				return blk, i
 			}
 		}
@@ -349,214 +341,120 @@ func locateNode(fg *FlowGraph, n ast.Node) (*Block, int) {
 	return nil, 0
 }
 
-// dominatedByCheck reports whether every path from entry to blk passes an
-// edge whose condition compares a field-derived value: DFS from entry that
-// refuses to cross check edges must fail to reach blk.
-func dominatedByCheck(info *types.Info, fg *FlowGraph, blk *Block, bf *boundedField) bool {
-	if blk == fg.Entry {
-		return false
-	}
-	seen := map[*Block]bool{}
-	var walk func(b *Block) bool
-	walk = func(b *Block) bool {
-		if b == blk {
-			return true
-		}
-		if seen[b] {
-			return false
-		}
-		seen[b] = true
-		for _, e := range b.Succs {
-			if condChecksField(info, fg, e.Cond, bf) {
-				continue
-			}
-			if walk(e.To) {
-				return true
-			}
-		}
-		return false
-	}
-	return !walk(fg.Entry)
-}
-
-// trimmedAfter reports whether every path from blk to exit passes a
-// field-derived check edge — the append-then-clamp idiom. Greatest
-// fixpoint: assume yes, strip blocks with an unchecked path out.
-func trimmedAfter(info *types.Info, fg *FlowGraph, blk *Block, bf *boundedField) bool {
-	ok := make([]bool, len(fg.Blocks))
-	for i := range ok {
-		ok[i] = true
-	}
-	ok[fg.Exit.Index] = false
-	for changed := true; changed; {
-		changed = false
-		for _, b := range fg.Blocks {
-			if !ok[b.Index] || b == fg.Exit {
-				continue
-			}
-			holds := len(b.Succs) > 0
-			for _, e := range b.Succs {
-				if condChecksField(info, fg, e.Cond, bf) {
-					continue
-				}
-				if !ok[e.To.Index] {
-					holds = false
-					break
-				}
-			}
-			if !holds {
-				ok[b.Index] = false
-				changed = true
-			}
-		}
-	}
-	return ok[blk.Index]
-}
-
 // condChecksField reports whether a branch condition contains a comparison
 // with an operand derived from the bounded field — directly (len(X.f),
 // X.f.Load() inside the expression) or through one level of local-variable
 // definition (d := X.f.Load(); ... d >= cap).
-func condChecksField(info *types.Info, fg *FlowGraph, cond ast.Expr, bf *boundedField) bool {
-	if cond == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(cond, func(n ast.Node) bool {
+func condChecksField(info *types.Info, defs map[*types.Var][]ast.Expr, cond ast.Expr, bf *boundedField) bool {
+	return cond != nil && anyNode(cond, false, func(n ast.Node) bool {
 		b, ok := n.(*ast.BinaryExpr)
-		if !ok || found {
-			return !found
+		if !ok {
+			return false
 		}
 		switch b.Op {
 		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
-			if derivesFromField(info, fg, b.X, bf) || derivesFromField(info, fg, b.Y, bf) {
-				found = true
-			}
+			return derivesFromField(info, defs, b.X, bf) || derivesFromField(info, defs, b.Y, bf)
 		}
-		return !found
+		return false
 	})
-	return found
 }
 
-func derivesFromField(info *types.Info, fg *FlowGraph, e ast.Expr, bf *boundedField) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
+func derivesFromField(info *types.Info, defs map[*types.Var][]ast.Expr, e ast.Expr, bf *boundedField) bool {
+	return anyNode(e, false, func(n ast.Node) bool {
 		switch x := n.(type) {
 		case *ast.SelectorExpr:
-			if isBoundedSelector(info, x, bf) {
-				found = true
-				return false
-			}
+			return isBoundedSelector(info, x, bf)
 		case *ast.Ident:
-			v, ok := info.Uses[x].(*types.Var)
-			if !ok {
-				return true
-			}
-			ch := fg.DefUse[v]
-			if ch == nil {
-				return true
-			}
-			for _, def := range ch.Defs {
-				if def.Rhs == nil {
-					continue
-				}
-				if selectorMentionsField(info, def.Rhs, bf) {
-					found = true
-					return false
+			v, _ := info.Uses[x].(*types.Var)
+			for _, rhs := range defs[v] {
+				if selectorMentionsField(info, rhs, bf) {
+					return true
 				}
 			}
 		}
-		return !found
+		return false
 	})
-	return found
 }
 
 func selectorMentionsField(info *types.Info, e ast.Expr, bf *boundedField) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && isBoundedSelector(info, sel, bf) {
-			found = true
-		}
-		return !found
+	return anyNode(e, false, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		return ok && isBoundedSelector(info, sel, bf)
 	})
-	return found
 }
 
-// releaseStates computes, per block, whether every path from it to exit
-// settles an admitted slot: passes a block containing a release (counter
-// decrement) or a commit (channel send — the slot's occupancy transfers to
-// the queued element). Greatest fixpoint over the CFG.
-func releaseStates(info *types.Info, fg *FlowGraph, bf *boundedField) []bool {
-	settles := make([]bool, len(fg.Blocks))
-	for _, b := range fg.Blocks {
-		settles[b.Index] = blockSettles(info, b.Nodes, bf)
-	}
-	ok := make([]bool, len(fg.Blocks))
-	for i := range ok {
-		ok[i] = true
-	}
-	ok[fg.Exit.Index] = false
-	for changed := true; changed; {
-		changed = false
-		for _, b := range fg.Blocks {
-			if !ok[b.Index] || b == fg.Exit || settles[b.Index] {
-				continue
-			}
-			holds := len(b.Succs) > 0
-			for _, e := range b.Succs {
-				if !ok[e.To.Index] {
-					holds = false
-					break
-				}
-			}
-			if !holds {
-				ok[b.Index] = false
-				changed = true
-			}
+// localDefs maps each local variable the graph assigns one to one (v := e,
+// v = e, var v = e) to its defining expressions: the one level
+// derivesFromField follows from a compared local back to the field it was
+// read from.
+func localDefs(info *types.Info, fg *flowGraph) map[*types.Var][]ast.Expr {
+	defs := make(map[*types.Var][]ast.Expr)
+	def := func(id *ast.Ident, rhs ast.Expr) {
+		if v, ok := info.ObjectOf(id).(*types.Var); ok && !v.IsField() && !isPackageLevel(v) {
+			defs[v] = append(defs[v], rhs)
 		}
 	}
-	return ok
-}
-
-func blockSettles(info *types.Info, nodes []ast.Node, bf *boundedField) bool {
-	for _, n := range nodes {
-		found := false
-		ast.Inspect(n, func(sub ast.Node) bool {
-			switch x := sub.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.SendStmt:
-				found = true
-			case *ast.CallExpr:
-				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok && isBoundedSelector(info, sel.X, bf) {
-					switch sel.Sel.Name {
-					case "Add":
-						if len(x.Args) == 1 {
-							if v, ok := constIntValue(info, x.Args[0]); ok && v < 0 {
-								found = true
-							}
-						}
-					case "CompareAndSwap":
-						if len(x.Args) == 2 && isDecrementOf(info, x.Args[1], x.Args[0]) {
-							found = true
+	for _, blk := range fg.blocks {
+		for _, n := range blk.nodes {
+			switch x := n.(type) {
+			case *ast.AssignStmt:
+				if len(x.Lhs) != len(x.Rhs) {
+					continue
+				}
+				for i, lhs := range x.Lhs {
+					if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+						def(id, x.Rhs[i])
+					}
+				}
+			case *ast.DeclStmt:
+				gd, ok := x.Decl.(*ast.GenDecl)
+				if !ok {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && len(vs.Values) == len(vs.Names) {
+						for i, name := range vs.Names {
+							def(name, vs.Values[i])
 						}
 					}
 				}
-			case *ast.IncDecStmt:
-				if x.Tok == token.DEC && isBoundedSelector(info, x.X, bf) {
-					found = true
-				}
-			case *ast.AssignStmt:
-				if x.Tok == token.SUB_ASSIGN && len(x.Lhs) == 1 && isBoundedSelector(info, x.Lhs[0], bf) {
-					found = true
-				}
 			}
-			return !found
-		})
-		if found {
+		}
+	}
+	return defs
+}
+
+// blockSettles reports whether nodes settle an admitted slot: release it
+// (a counter decrement) or commit it (a channel send — the slot's occupancy
+// transfers to the queued element).
+func blockSettles(info *types.Info, nodes []ast.Node, bf *boundedField) bool {
+	settles := func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SendStmt:
+			return true
+		case *ast.CallExpr:
+			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+			if !ok || !isBoundedSelector(info, sel.X, bf) {
+				return false
+			}
+			switch sel.Sel.Name {
+			case "Add":
+				if len(x.Args) == 1 {
+					v, ok := constIntValue(info, x.Args[0])
+					return ok && v < 0
+				}
+			case "CompareAndSwap":
+				return len(x.Args) == 2 && isDecrementOf(info, x.Args[1], x.Args[0])
+			}
+		case *ast.IncDecStmt:
+			return x.Tok == token.DEC && isBoundedSelector(info, x.X, bf)
+		case *ast.AssignStmt:
+			return x.Tok == token.SUB_ASSIGN && len(x.Lhs) == 1 && isBoundedSelector(info, x.Lhs[0], bf)
+		}
+		return false
+	}
+	for _, n := range nodes {
+		if anyNode(n, true, settles) {
 			return true
 		}
 	}
@@ -564,38 +462,22 @@ func blockSettles(info *types.Info, nodes []ast.Node, bf *boundedField) bool {
 }
 
 // slotSettled verifies the admitted slot is settled on every path after the
-// grow: the remainder of the grow's own block, then (for a CAS admission)
-// the true-edge successors, or all successors for an unconditional grow.
-func slotSettled(info *types.Info, fg *FlowGraph, relOK []bool, blk *Block, nodeIdx int, g *growSite) bool {
-	if blockSettles(info, blk.Nodes[nodeIdx+1:], g.bf) {
+// grow: in the rest of the grow's own block, or else on every path from
+// each successor before the path ends. A CAS admission occupies a slot only
+// where it succeeded, so the edge on which the CAS is false is skipped; a
+// block with no successors settles nothing.
+func slotSettled(info *types.Info, fg *flowGraph, blk *block, nodeIdx int, g *growSite) bool {
+	if blockSettles(info, blk.nodes[nodeIdx+1:], g.bf) {
 		return true
 	}
-	for _, e := range blk.Succs {
-		if g.kind == growCAS && e.Cond != nil {
-			// The slot exists only where the CAS succeeded: skip edges whose
-			// condition is the CAS with Sense == false, and edges that do
-			// not involve the CAS at all keep both outcomes possible.
-			if condContains(e.Cond, g.node) && !e.Sense {
-				continue
-			}
+	settles := func(b *block) bool { return blockSettles(info, b.nodes, g.bf) }
+	for _, e := range blk.succs {
+		if g.kind == growCAS && e.cond != nil && !e.sense && anyNode(e.cond, false, func(sub ast.Node) bool { return sub == g.node }) {
+			continue
 		}
-		if e.To != fg.Exit && !relOK[e.To.Index] {
-			return false
-		}
-		if e.To == fg.Exit {
+		if fg.reaches(e.to, fg.ends, nil, settles) {
 			return false
 		}
 	}
-	return len(blk.Succs) > 0
-}
-
-func condContains(cond ast.Expr, n ast.Node) bool {
-	found := false
-	ast.Inspect(cond, func(sub ast.Node) bool {
-		if sub == n {
-			found = true
-		}
-		return !found
-	})
-	return found
+	return len(blk.succs) > 0
 }

@@ -35,7 +35,7 @@ type IPA struct {
 
 	// flows memoizes per-function flow graphs (cfg.go), the IR every
 	// flow-sensitive analyzer shares.
-	flows map[*FuncNode]*FlowGraph
+	flows map[*FuncNode]*flowGraph
 
 	// chans is the lazily-built chanlife engine (chanlife.go); atoms the
 	// atomic/plain access census (atomicmix.go); allocs memoizes
@@ -65,7 +65,7 @@ func buildIPA(pkgs []*Package) *IPA {
 		Graph:  g,
 		pkgs:   pkgs,
 		deps:   importClosure(pkgs),
-		flows:  make(map[*FuncNode]*FlowGraph),
+		flows:  make(map[*FuncNode]*flowGraph),
 		allocs: make(map[*FuncNode][]Site),
 	}
 }
@@ -537,12 +537,9 @@ func gatherCtxFacts(pkg *Package, n *FuncNode, s *Summary) {
 	for _, p := range s.CtxParams {
 		want[p] = true
 	}
-	ast.Inspect(n.Body, func(node ast.Node) bool {
-		if id, ok := node.(*ast.Ident); ok && want[pkg.Info.Uses[id]] {
-			s.UsesCtx = true
-			return false
-		}
-		return !s.UsesCtx
+	s.UsesCtx = anyNode(n.Body, false, func(node ast.Node) bool {
+		id, ok := node.(*ast.Ident)
+		return ok && want[pkg.Info.Uses[id]]
 	})
 }
 
