@@ -3,9 +3,7 @@ package darnet
 import (
 	"io"
 	"math/rand"
-	"time"
 
-	"darnet/internal/bayes"
 	"darnet/internal/collect"
 	"darnet/internal/core"
 	"darnet/internal/imu"
@@ -14,9 +12,7 @@ import (
 	"darnet/internal/privacy"
 	"darnet/internal/stream"
 	"darnet/internal/synth"
-	"darnet/internal/tsdb"
 	"darnet/internal/vision"
-	"darnet/internal/wire"
 )
 
 // Driving behaviour classes (paper Table 1).
@@ -80,53 +76,11 @@ type (
 	DistortionLevel = collect.DistortionLevel
 	// DistortionRatios maps levels to down-sampling factors.
 	DistortionRatios = privacy.Ratios
-	// TaggedFrame is a distorted frame tagged with its level.
-	TaggedFrame = privacy.TaggedFrame
-	// DCNNRouter dispatches tagged frames to level-specific classifiers.
-	DCNNRouter = privacy.Router
 	// DistillConfig controls dCNN training.
 	DistillConfig = privacy.DistillConfig
 
-	// Agent is a sensor collection agent.
-	Agent = collect.Agent
-	// AgentConfig configures a collection agent.
-	AgentConfig = collect.AgentConfig
-	// Controller is the centralized collection controller.
-	Controller = collect.Controller
-	// Sensor is one pollable device channel.
-	Sensor = collect.Sensor
-	// SensorFunc adapts a function to the Sensor interface.
-	SensorFunc = collect.SensorFunc
-	// ProcessingPolicy decides local vs remote processing.
-	ProcessingPolicy = collect.ProcessingPolicy
-	// NetworkConditions summarize the uplink.
-	NetworkConditions = collect.NetworkConditions
-	// TimedFrame is a stored camera frame with its capture timestamp.
-	TimedFrame = collect.TimedFrame
-	// WireConn frames protocol messages over a transport stream.
-	WireConn = wire.Conn
-	// DriftClock simulates a drifting device clock.
-	DriftClock = collect.DriftClock
-	// TimeSource yields reference time in milliseconds.
-	TimeSource = collect.TimeSource
-	// ManualTime is a manually advanced time source for tests/simulations.
-	ManualTime = collect.ManualTime
-	// TSDB is the controller's time-series store.
-	TSDB = tsdb.DB
-	// AgentRunner drives an agent in real time on a managed goroutine.
-	AgentRunner = collect.Runner
-	// SessionScript models the paper's scripted collection protocol.
-	SessionScript = collect.SessionScript
-	// ScriptSegment is one scripted activity segment.
-	ScriptSegment = collect.ScriptSegment
-
 	// Network is a trainable feed-forward network (the CNN substrate).
 	Network = nn.Sequential
-
-	// Combiner is the Bayesian Network ensemble combiner: it fuses any number
-	// of modality distributions (the engine fuses two; more realize the
-	// paper's "extensible to more modalities" claim).
-	Combiner = bayes.Combiner
 
 	// Alerter is the evidence-debouncing alert state machine darnetd serves:
 	// it raises once 1 − P(normal), halved for degraded classifications, has
@@ -138,8 +92,6 @@ type (
 	AlertConfig = stream.AlertConfig
 	// AlertEvent is an alert state transition.
 	AlertEvent = stream.AlertEvent
-	// AlertReport scores episode-level alerting behaviour.
-	AlertReport = stream.AlertReport
 )
 
 // Alert state transitions.
@@ -153,25 +105,6 @@ const (
 // returns an alerter with no alert raised.
 func NewAlerter(cfg AlertConfig) (*Alerter, error) {
 	return stream.NewAlerter(cfg)
-}
-
-// NewCombiner returns an unfitted N-parent Bayesian Network combiner over
-// parents with the given outcome arities.
-func NewCombiner(classes int, arities ...int) (*Combiner, error) {
-	return bayes.NewCombiner(classes, arities...)
-}
-
-// ECE computes the expected calibration error of probabilistic predictions
-// over the given number of confidence bins.
-func ECE(probs [][]float64, labels []int, bins int) (float64, error) {
-	return metrics.ECE(probs, labels, bins)
-}
-
-// EvaluateAlerts replays a session's window classifications, window i at
-// time i·period, through the Alerter darnetd serves and scores episode-level
-// detection and false-alert behaviour against the ground truth.
-func EvaluateAlerts(truth []int, preds []*Classification, period time.Duration, cfg AlertConfig) (AlertReport, error) {
-	return stream.EvaluateAlerts(truth, preds, period, cfg)
 }
 
 // Distortion levels (paper §4.3: none / 100×100 / 50×50 / 25×25 paths).
@@ -232,17 +165,9 @@ func BuildFrameCNN(rng *rand.Rand, w, h, classes int, cfg CNNConfig) (*Network, 
 // DefaultCNNConfig returns the calibrated CNN defaults.
 func DefaultCNNConfig() CNNConfig { return core.DefaultCNNConfig() }
 
-// PaperDistortionRatios are the paper's 300×300-source ratios (3/6/12).
-func PaperDistortionRatios() DistortionRatios { return privacy.PaperRatios() }
-
 // CompactDistortionRatios are the ratios used for this reproduction's 32×32
 // frames (see privacy.CompactRatios for the rationale).
 func CompactDistortionRatios() DistortionRatios { return privacy.CompactRatios() }
-
-// Distort applies a privacy distortion level to a frame.
-func Distort(img *Image, level DistortionLevel, ratios DistortionRatios) (*TaggedFrame, error) {
-	return privacy.Distort(img, level, ratios)
-}
 
 // DefaultDistillConfig returns the calibrated dCNN distillation defaults.
 func DefaultDistillConfig() DistillConfig { return privacy.DefaultDistillConfig() }
@@ -252,9 +177,6 @@ func DefaultDistillConfig() DistillConfig { return privacy.DefaultDistillConfig(
 func Distill(teacher *Network, build func(*rand.Rand) (*Network, error), ds *Dataset, level DistortionLevel, ratios DistortionRatios, rng *rand.Rand, cfg DistillConfig) (*Network, error) {
 	return privacy.Distill(teacher, privacy.StudentBuilder(build), ds.Frames(), ds.ImgW, ds.ImgH, level, ratios, rng, cfg)
 }
-
-// NewDCNNRouter returns an empty distortion-level router.
-func NewDCNNRouter() *DCNNRouter { return privacy.NewRouter() }
 
 // EvaluateNetwork returns Top-1 accuracy of a frame classifier on a dataset,
 // optionally distorting the frames first (DistortNone evaluates clean).
@@ -288,67 +210,6 @@ func TrainNetwork(net *Network, ds *Dataset, epochs int, seed int64, progress fu
 	return err
 }
 
-// LoadEngine reconstructs a trained engine from a snapshot written by
-// (*Engine).Save.
-func LoadEngine(r io.Reader) (*Engine, error) { return core.LoadEngine(r) }
-
 // LoadDataset reads a dataset written by (*Dataset).Save, so the exact
 // generated data can be shared across runs and processes.
 func LoadDataset(r io.Reader) (*Dataset, error) { return synth.LoadDataset(r) }
-
-// DefaultProcessingPolicy returns the calibrated local/remote policy.
-func DefaultProcessingPolicy() ProcessingPolicy { return collect.DefaultProcessingPolicy() }
-
-// FrameSensor adapts a frame source into a camera-agent sensor on the
-// reserved frame channel.
-func FrameSensor(current func() []float64) Sensor { return collect.FrameSensor(current) }
-
-// NewWireConn frames protocol messages over rw (TCP in deployment).
-func NewWireConn(rw io.ReadWriter) *WireConn { return wire.NewConn(rw) }
-
-// NewTSDB returns an empty time-series store.
-func NewTSDB() *TSDB { return tsdb.New() }
-
-// NewController returns a collection controller storing into db with master
-// time from source.
-func NewController(db *TSDB, source TimeSource) *Controller {
-	return collect.NewController(db, source)
-}
-
-// NewDriftClock returns a device clock over source with the given fractional
-// drift rate.
-func NewDriftClock(source TimeSource, drift float64) *DriftClock {
-	return collect.NewDriftClock(source, drift)
-}
-
-// NewManualTime returns a manually advanced time source starting at start.
-func NewManualTime(start int64) *ManualTime { return collect.NewManualTime(start) }
-
-// NewAgent returns a collection agent over the given transport connection.
-func NewAgent(cfg AgentConfig, clock *DriftClock, sensors []Sensor, conn *WireConn) (*Agent, error) {
-	return collect.NewAgent(cfg, clock, sensors, conn)
-}
-
-// IMUSensors adapts a sample source into the four IMU collection sensors.
-func IMUSensors(current func() IMUSample) []Sensor { return collect.IMUSensors(current) }
-
-// StartAgentRunner sends the agent's hello and starts a managed real-time
-// polling/flushing loop; stop it with Shutdown.
-func StartAgentRunner(agent *Agent, flushEvery time.Duration, onPoll func()) (*AgentRunner, error) {
-	return collect.StartRunner(agent, flushEvery, onPoll)
-}
-
-// NewSessionScript builds a scripted collection session from segments.
-func NewSessionScript(segments ...ScriptSegment) (*SessionScript, error) {
-	return collect.NewSessionScript(segments...)
-}
-
-// RemoteClassify ships one aligned (frame, window) observation to a server
-// running (*Engine).ServeClassifyCtx — the paper's remote configuration —
-// and returns the fused classification. A request tagged with a distortion
-// level needs a server whose engine has a dCNN router attached
-// (SetDCNNRouter); darnetd -engine attaches none and answers it with an
-// error.
-func RemoteClassify(conn *WireConn, frame []float64, w, h int, distortion DistortionLevel, window IMUWindow) (*Classification, error) {
-	return core.RemoteClassify(conn, frame, w, h, uint8(distortion), window)
-}

@@ -10,17 +10,21 @@
 // privacy extension trains "denoising CNNs" on down-sampled frames by
 // unsupervised distillation against the full-resolution model.
 //
-// The package exposes four areas:
+// The package exposes three areas:
 //
-//   - Synthetic datasets (GenerateDataset, Generate18ClassDataset) that stand
-//     in for the paper's private datasets, engineered to reproduce the same
-//     modality structure (see DESIGN.md, "Substitutions").
-//   - The analytics engine (TrainEngine, (*Engine).Evaluate,
-//     (*Engine).Classify): CNN + RNN + SVM + Bayesian Network ensemble.
-//   - The privacy path (Distort, Distill, Router): distortion levels, tagged
-//     routing, and teacher-student dCNN training.
-//   - The collection middleware (NewAgent, NewController, wire protocol):
-//     sensor polling, clock synchronization, alignment, and smoothing.
+//   - Synthetic datasets (GenerateDataset, Generate18ClassDataset,
+//     LoadDataset) that stand in for the paper's private datasets,
+//     engineered to reproduce the same modality structure (see DESIGN.md,
+//     "Substitutions").
+//   - The analytics engine (TrainEngine, EvaluateEngine, (*Engine).Classify):
+//     CNN + RNN + SVM + Bayesian Network ensemble, and the Alerter that
+//     debounces its classifications into driver alerts.
+//   - The privacy path (EvaluateNetwork, Distill): distortion levels and
+//     teacher-student dCNN training.
+//
+// The collection middleware (agents, controller, wire protocol, clock
+// synchronization, alignment and smoothing) has no facade: cmd/darnetd
+// serves it.
 //
 // Everything is implemented with the Go standard library only: the tensor,
 // neural-network, recurrent-network, and SVM substrates live in internal

@@ -2,7 +2,7 @@ package darnet_test
 
 import (
 	"fmt"
-	"net"
+	"math/rand"
 	"time"
 
 	"darnet"
@@ -59,52 +59,46 @@ func ExampleAlerter() {
 	// Normal Driving -> alert cleared
 }
 
-// Example_collectionPipeline sketches the full middleware wiring: a
-// controller accepting TCP connections, an IMU agent streaming through a
-// managed runner, and the controller's engine bridge assembling windows.
-// (No Output comment: this example is compile-checked but not executed —
-// it needs a live TCP listener.)
-func Example_collectionPipeline() {
-	db := darnet.NewTSDB()
-	now := func() int64 { return time.Now().UnixMilli() }
-	ctrl := darnet.NewController(db, now)
+// Example_quickstart generates a small synthetic dataset, trains the
+// analytics engine (frame CNN + IMU BiLSTM + SVM + Bayesian Network
+// combiner) for one epoch per model, and classifies a held-out multi-modal
+// observation. It prints only what training cannot change: the split, the
+// observation's true behaviour, and the shape of the fused posterior.
+func Example_quickstart() {
+	cfg := darnet.DefaultDatasetConfig()
+	cfg.Scale = 0.005 // 0.5% of the paper's frame counts
+	ds, err := darnet.GenerateDataset(cfg)
+	if err != nil {
+		panic(err)
+	}
+	train, test, err := ds.Split(rand.New(rand.NewSource(1)), 0.2)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("dataset: %d train / %d test samples across %d classes\n",
+		train.Len(), test.Len(), darnet.NumClasses)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tc := darnet.DefaultEngineTrainConfig()
+	tc.CNNEpochs = 1
+	tc.RNNEpochs = 1
+	eng, err := darnet.TrainEngine(train, tc)
 	if err != nil {
 		panic(err)
 	}
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_ = ctrl.ServeConn(darnet.NewWireConn(conn))
-	}()
 
-	raw, err := net.Dial("tcp", ln.Addr().String())
+	sample := test.Samples[0]
+	result, err := eng.Classify(sample.Frame.Pix, sample.Window)
 	if err != nil {
 		panic(err)
 	}
-	clock := darnet.NewDriftClock(now, 0.002)
-	var current darnet.IMUSample
-	agent, err := darnet.NewAgent(darnet.AgentConfig{
-		ID: "phone", Modality: "imu", PollPeriodMS: 25, LatencyComp: 2,
-	}, clock, darnet.IMUSensors(func() darnet.IMUSample { return current }), darnet.NewWireConn(raw))
-	if err != nil {
-		panic(err)
+	sum := 0.0
+	for _, p := range result.Probs {
+		sum += p
 	}
-	runner, err := darnet.StartAgentRunner(agent, 500*time.Millisecond, func() {
-		current = darnet.IMUSample{} // read the real sensor here
-	})
-	if err != nil {
-		panic(err)
-	}
-	defer runner.Shutdown()
-
-	// Later: align the stored streams into classifier-ready windows.
-	windows, err := ctrl.AssembleIMUWindows("phone", 3)
-	if err == nil {
-		fmt.Println(len(windows))
-	}
+	fmt.Println("true behaviour:", sample.Class)
+	fmt.Printf("fused posterior: %d classes, sum %.3f\n", len(result.Probs), sum)
+	// Output:
+	// dataset: 228 train / 57 test samples across 6 classes
+	// true behaviour: Eating/Drinking
+	// fused posterior: 6 classes, sum 1.000
 }

@@ -45,7 +45,7 @@ func TestShutdownIdempotentAndConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := StartRunner(agent, 20*time.Millisecond, nil)
+	runner, err := StartRunnerConfig(agent, RunnerConfig{FlushEvery: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,14 +91,6 @@ type Runner struct {
 	deferred   int
 }
 
-// StartRunner sends the agent's hello and starts the polling/flushing loop
-// with the legacy fail-fast behavior (no dialer: the loop stops on the first
-// transport error). onPoll, when non-nil, runs before every sensor poll. The
-// returned runner must be stopped with Shutdown.
-func StartRunner(agent *Agent, flushEvery time.Duration, onPoll func()) (*Runner, error) {
-	return StartRunnerConfig(agent, RunnerConfig{FlushEvery: flushEvery, OnPoll: onPoll})
-}
-
 // StartRunnerConfig sends the agent's hello and starts the managed loop with
 // full fault-tolerance configuration.
 func StartRunnerConfig(agent *Agent, cfg RunnerConfig) (*Runner, error) {

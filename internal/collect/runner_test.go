@@ -25,7 +25,7 @@ func TestRunnerStreamsUntilShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := StartRunner(agent, 20*time.Millisecond, func() { polls++ })
+	runner, err := StartRunnerConfig(agent, RunnerConfig{FlushEvery: 20 * time.Millisecond, OnPoll: func() { polls++ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestRunnerSurfacesTransportFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner, err := StartRunner(agent, 15*time.Millisecond, nil)
+	runner, err := StartRunnerConfig(agent, RunnerConfig{FlushEvery: 15 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRunnerSurfacesTransportFailure(t *testing.T) {
 }
 
 func TestStartRunnerValidation(t *testing.T) {
-	if _, err := StartRunner(nil, time.Second, nil); err == nil {
+	if _, err := StartRunnerConfig(nil, RunnerConfig{FlushEvery: time.Second}); err == nil {
 		t.Fatal("expected nil-agent error")
 	}
 	clock := NewDriftClock(wallMillis, 0)
@@ -99,7 +99,7 @@ func TestStartRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StartRunner(agent, 0, nil); err == nil {
+	if _, err := StartRunnerConfig(agent, RunnerConfig{FlushEvery: 0}); err == nil {
 		t.Fatal("expected cadence error")
 	}
 }

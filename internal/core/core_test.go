@@ -171,8 +171,14 @@ func TestTrainAndEvaluateEndToEnd(t *testing.T) {
 	if ev.CNNRNN < ev.CNN-0.1 {
 		t.Fatalf("ensemble (%g) collapsed below CNN (%g)", ev.CNNRNN, ev.CNN)
 	}
-	if ev.ConfusionCNNRNN.Total() != test.Len() {
-		t.Fatalf("confusion total = %d", ev.ConfusionCNNRNN.Total())
+	total := 0
+	for _, row := range ev.ConfusionCNNRNN.Counts {
+		for _, c := range row {
+			total += c
+		}
+	}
+	if total != test.Len() {
+		t.Fatalf("confusion total = %d", total)
 	}
 	if ev.CNNECE < 0 || ev.CNNECE > 1 || ev.FusedECE < 0 || ev.FusedECE > 1 {
 		t.Fatalf("calibration errors out of range: %g / %g", ev.CNNECE, ev.FusedECE)

@@ -391,6 +391,7 @@ func (e *Engine) classify(span *telemetry.Span, frame []float64, level collect.D
 		rnnProbs, rnnErr = e.WindowProbs(window)
 		rnnSp.End()
 	}
+	//lint:ignore goleak waits only for the CNN goroutine above, which defers Done and never blocks
 	cnn.done.Wait()
 	if cnn.err != nil {
 		return nil, cnn.err

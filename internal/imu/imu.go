@@ -82,20 +82,6 @@ func (w Window) Flatten() []float64 {
 	return out
 }
 
-// SlidingWindows segments a sample stream into windows of the given size and
-// stride. It returns an error for non-positive size or stride; streams
-// shorter than size yield no windows.
-func SlidingWindows(samples []Sample, size, stride int) ([]Window, error) {
-	if size <= 0 || stride <= 0 {
-		return nil, fmt.Errorf("imu: window size %d and stride %d must be positive", size, stride)
-	}
-	var out []Window
-	for start := 0; start+size <= len(samples); start += stride {
-		out = append(out, Window{Samples: samples[start : start+size]})
-	}
-	return out, nil
-}
-
 // Stats holds per-feature mean and standard deviation fitted on training
 // windows, applied identically to train and test splits.
 type Stats struct {

@@ -71,55 +71,6 @@ func TestWindowTensorAndFlatten(t *testing.T) {
 	}
 }
 
-func TestSlidingWindowsCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	samples := make([]Sample, 50)
-	for i := range samples {
-		samples[i] = randomSample(rng, int64(i*250))
-	}
-	tests := []struct {
-		size, stride, want int
-	}{
-		{20, 20, 2},
-		{20, 10, 4},
-		{20, 1, 31},
-		{50, 1, 1},
-		{51, 1, 0},
-	}
-	for _, tt := range tests {
-		ws, err := SlidingWindows(samples, tt.size, tt.stride)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(ws) != tt.want {
-			t.Fatalf("size=%d stride=%d: got %d windows, want %d", tt.size, tt.stride, len(ws), tt.want)
-		}
-	}
-	if _, err := SlidingWindows(samples, 0, 1); err == nil {
-		t.Fatal("expected size validation error")
-	}
-	if _, err := SlidingWindows(samples, 1, 0); err == nil {
-		t.Fatal("expected stride validation error")
-	}
-}
-
-func TestSlidingWindowsContent(t *testing.T) {
-	samples := make([]Sample, 6)
-	for i := range samples {
-		samples[i].Accel[0] = float64(i)
-	}
-	ws, err := SlidingWindows(samples, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ws) != 2 {
-		t.Fatalf("got %d windows", len(ws))
-	}
-	if ws[1].Samples[0].Accel[0] != 2 {
-		t.Fatalf("second window starts at %g", ws[1].Samples[0].Accel[0])
-	}
-}
-
 func TestFitStatsAndNormalize(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var windows []Window

@@ -12,9 +12,11 @@ import (
 // graph spans every analyzed package: nodes are the declared functions,
 // methods, and function literals; edges are call sites, classified by how
 // the callee runs (plain call, defer, or a conservative "referenced as a
-// value" edge for closures that escape into variables or arguments). `go`
-// statements are recorded separately as spawn sites, because a spawned
-// goroutine's blocking does not block its spawner.
+// value" edge for closures that escape into variables or arguments; a
+// literal handed to pprof.Do or sync.Once.Do, which call it before they
+// return, is a plain call). `go` statements are recorded separately as
+// spawn sites, because a spawned goroutine's blocking does not block its
+// spawner.
 //
 // Resolution is conservative in the direction that keeps the analyzers
 // sound for the analyzed set:
@@ -204,6 +206,20 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 				return false
 			}
 			g.addCallEdges(n, s, edgeCall)
+			if i, ok := syncCallbackArg(n.Pkg.Info, s); ok {
+				if lit, ok := ast.Unparen(s.Args[i]).(*ast.FuncLit); ok {
+					// The callee runs the literal before it returns.
+					child := g.litNode(n, lit)
+					n.Calls = append(n.Calls, CallSite{Callee: child, Pos: s.Pos(), Kind: edgeCall})
+					ast.Inspect(s.Fun, walk)
+					for j, arg := range s.Args {
+						if j != i {
+							ast.Inspect(arg, walk)
+						}
+					}
+					return false
+				}
+			}
 			return true
 		case *ast.FuncLit:
 			// A literal that is not immediately called escapes as a value;
@@ -215,6 +231,25 @@ func (g *CallGraph) walkBody(n *FuncNode) {
 		return true
 	}
 	ast.Inspect(n.Body, walk)
+}
+
+// syncCallbacks are the callees outside the analyzed set that call a
+// function argument before they return, keyed by package path and display
+// name, with the index of that argument.
+var syncCallbacks = map[[2]string]int{
+	{"runtime/pprof", "Do"}: 2,
+	{"sync", "(*Once).Do"}:  0,
+}
+
+// syncCallbackArg returns the index of the argument call's callee runs
+// synchronously, if the callee is one of syncCallbacks.
+func syncCallbackArg(info *types.Info, call *ast.CallExpr) (int, bool) {
+	fn := calleeFunc(info, call)
+	if fn == nil || fn.Pkg() == nil {
+		return 0, false
+	}
+	i, ok := syncCallbacks[[2]string{fn.Pkg().Path(), funcDisplayName(fn)}]
+	return i, ok && i < len(call.Args)
 }
 
 // litNode creates (and registers) the node for a function literal nested in

@@ -8,7 +8,9 @@ package lint
 // synchronously calls) contains a bare send, a receive without a comma-ok,
 // a single-case select, select{}, or a sync Wait, and no escape shape
 // (multi-case select, default case, comma-ok receive, range-over-channel)
-// guards that site.
+// guards that site. A //lint:ignore goleak on a blocking site itself
+// justifies that site for every goroutine that reaches it; one on the `go`
+// statement suppresses that statement's finding.
 //
 // Blocking network reads are deliberately out of scope: they are unblocked
 // by closing the connection, which the conn-tracker shutdown pattern

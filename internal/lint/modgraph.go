@@ -44,19 +44,10 @@ type ModuleResult struct {
 // sorted list.
 func AnalyzeModule(loader *Loader, pkgs [][2]string, analyzers []*Analyzer) (*ModuleResult, error) {
 	res := &ModuleResult{Spent: make(map[string]int64)}
-	order, err := topoOrder(loader.Fset, pkgs)
+	start := time.Now()
+	loaded, err := loadLinked(loader, pkgs)
 	if err != nil {
 		return nil, err
-	}
-	start := time.Now()
-	loaded := make([]*Package, 0, len(order))
-	for _, p := range order {
-		pkg, err := loader.LoadDir(p[0], p[1])
-		if err != nil {
-			return nil, err
-		}
-		loader.RegisterSource(pkg)
-		loaded = append(loaded, pkg)
 	}
 	loadT := time.Since(start)
 
@@ -91,7 +82,7 @@ func AnalyzeModule(loader *Loader, pkgs [][2]string, analyzers []*Analyzer) (*Mo
 		res.Diags = append(res.Diags, pkg.ignores().unused(ran, known)...)
 	}
 
-	res.Packages = len(order)
+	res.Packages = len(loaded)
 	res.Phases = []Timing{
 		{Analyzer: "load", Elapsed: loadT},
 		{Analyzer: "ir", Elapsed: irT},
@@ -99,6 +90,25 @@ func AnalyzeModule(loader *Loader, pkgs [][2]string, analyzers []*Analyzer) (*Mo
 	}
 	SortDiagnostics(res.Diags)
 	return res, nil
+}
+
+// loadLinked type-checks pkgs in dependency order, registering each one so
+// the packages after it import it from source.
+func loadLinked(loader *Loader, pkgs [][2]string) ([]*Package, error) {
+	order, err := topoOrder(loader.Fset, pkgs)
+	if err != nil {
+		return nil, err
+	}
+	loaded := make([]*Package, 0, len(order))
+	for _, p := range order {
+		pkg, err := loader.LoadDir(p[0], p[1])
+		if err != nil {
+			return nil, err
+		}
+		loader.RegisterSource(pkg)
+		loaded = append(loaded, pkg)
+	}
+	return loaded, nil
 }
 
 // topoOrder sorts the packages so every in-set dependency precedes its

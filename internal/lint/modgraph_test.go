@@ -519,6 +519,33 @@ func TestModuleGoleakMutationCollect(t *testing.T) {
 	t.Fatalf("module analysis must catch the loop's bare receive, got %v", diags)
 }
 
+// TestModuleGoleakMutationStream is the goleak acceptance check through a
+// synchronous callback: the pipeline's worker runs drain inside pprof.Do's
+// literal, and drain selects on its queue beside p.stop. Turning the select
+// into a bare queue receive leaves the worker waiting where no stop can
+// reach it, and goleak must report the go statement. The unmutated copy of
+// internal/stream is clean.
+func TestModuleGoleakMutationStream(t *testing.T) {
+	loader, err := mutLoader()
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	for _, d := range lintMutant(t, loader, "stream", "streamclean", "", "", "") {
+		if d.Rule == "goleak" {
+			t.Fatalf("unmutated internal/stream must be goleak-clean, got %s", d)
+		}
+	}
+	diags := lintMutant(t, loader, "stream", "streammut", "pipeline.go",
+		"\t\tselect {\n\t\tcase <-p.stop:\n\t\t\treturn\n\t\tcase in := <-p.queue:\n",
+		"\t\tin := <-p.queue\n\t\t{\n")
+	for _, d := range diags {
+		if d.Rule == "goleak" && strings.Contains(d.Message, "goroutine (*Pipeline).worker can block forever: channel receive at pipeline.go") {
+			return
+		}
+	}
+	t.Fatalf("module analysis must catch drain's bare receive, got %v", diags)
+}
+
 // TestModuleAllocMutationTwoLevels is the hotalloc acceptance check: seeding
 // an allocation into leaf.Buffer — two packages below root's //lint:hotpath
 // Pack — is caught by the module-linked analysis and missed per-package

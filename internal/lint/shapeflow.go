@@ -607,7 +607,7 @@ func (w *shapeWalker) tensorOp(call *ast.CallExpr, fn *types.Func, env *shapeEnv
 			return knownShape([]adim{s.dims[1], s.dims[0]})
 		}
 		return unknownShape()
-	case "Add", "Sub", "Mul":
+	case "Add":
 		if len(call.Args) == 2 {
 			sa, sb := arg(0), arg(1)
 			w.checkSameShape(call.Pos(), "tensor."+name, sa, sb)
@@ -616,11 +616,9 @@ func (w *shapeWalker) tensorOp(call *ast.CallExpr, fn *types.Func, env *shapeEnv
 			}
 			return sb
 		}
-	case "Scale":
-		return arg(0)
 	case "Clone", "Apply", "ScaleInPlace":
 		return recv()
-	case "AddInPlace", "SubInPlace", "MulInPlace", "AddScaledInPlace", "CopyFrom":
+	case "AddInPlace", "SubInPlace", "MulInPlace", "AddScaledInPlace":
 		r := recv()
 		if len(call.Args) >= 1 {
 			w.checkSameShape(call.Pos(), "tensor.(*Tensor)."+name, r, arg(0))

@@ -690,11 +690,17 @@ func propagate(nodes []*FuncNode) {
 		changed = false
 		for _, n := range nodes {
 			s := n.summary
-			if !s.BlocksForever && len(s.ForeverSites) > 0 {
+			for _, site := range s.ForeverSites {
+				// A //lint:ignore goleak at the site documents why it
+				// cannot hang, for every goroutine that reaches it.
+				if s.BlocksForever || n.Pkg.justified(site.Pos, "goleak") {
+					continue
+				}
 				s.BlocksForever = true
-				s.ForeverWhat = s.ForeverSites[0].What
-				s.ForeverPos = s.ForeverSites[0].Pos
+				s.ForeverWhat = site.What
+				s.ForeverPos = site.Pos
 				changed = true
+				break
 			}
 			if !s.Blocks && len(s.BlockSites) > 0 {
 				s.Blocks = true

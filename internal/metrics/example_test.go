@@ -15,8 +15,10 @@ func ExampleConfusionMatrix() {
 	}
 	trueLabels := []int{0, 0, 0, 1, 1, 1, 1}
 	predicted := []int{0, 0, 1, 1, 1, 1, 0}
-	if err := m.ObserveAll(trueLabels, predicted); err != nil {
-		panic(err)
+	for i := range trueLabels {
+		if err := m.Observe(trueLabels[i], predicted[i]); err != nil {
+			panic(err)
+		}
 	}
 	fmt.Println("top-1:", metrics.FormatPercent(m.Top1()))
 	fmt.Println("texting recall:", metrics.FormatPercent(m.Recall(1)))

@@ -1,6 +1,6 @@
 // Package metrics computes and renders the evaluation artifacts the paper
 // reports: Top-1 (Hit@1) classification percentages, confusion matrices
-// (Figure 5), and per-class accuracies.
+// (Figure 5), and per-class precision and recall.
 package metrics
 
 import (
@@ -36,30 +36,6 @@ func (m *ConfusionMatrix) Observe(trueClass, predicted int) error {
 	return nil
 }
 
-// ObserveAll records aligned slices of true and predicted labels.
-func (m *ConfusionMatrix) ObserveAll(trueLabels, predicted []int) error {
-	if len(trueLabels) != len(predicted) {
-		return fmt.Errorf("metrics: %d true labels for %d predictions", len(trueLabels), len(predicted))
-	}
-	for i := range trueLabels {
-		if err := m.Observe(trueLabels[i], predicted[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Total returns the number of recorded observations.
-func (m *ConfusionMatrix) Total() int {
-	n := 0
-	for _, row := range m.Counts {
-		for _, c := range row {
-			n += c
-		}
-	}
-	return n
-}
-
 // Top1 returns the overall Hit@1 accuracy in [0, 1].
 func (m *ConfusionMatrix) Top1() float64 {
 	total, hits := 0, 0
@@ -75,21 +51,6 @@ func (m *ConfusionMatrix) Top1() float64 {
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-// PerClassAccuracy returns recall per true class (0 for unobserved classes).
-func (m *ConfusionMatrix) PerClassAccuracy() []float64 {
-	out := make([]float64, len(m.Labels))
-	for i, row := range m.Counts {
-		total := 0
-		for _, c := range row {
-			total += c
-		}
-		if total > 0 {
-			out[i] = float64(row[i]) / float64(total)
-		}
-	}
-	return out
 }
 
 // Rate returns the fraction of true-class i observations predicted as j.
@@ -135,26 +96,6 @@ func FormatPercent(frac float64) string {
 	return fmt.Sprintf("%.2f%%", frac*100)
 }
 
-// Table renders a two-column model/Hit@1 table like the paper's Tables 2
-// and 3.
-func Table(names []string, accuracies []float64) (string, error) {
-	if len(names) != len(accuracies) {
-		return "", fmt.Errorf("metrics: %d names for %d accuracies", len(names), len(accuracies))
-	}
-	width := 5
-	for _, n := range names {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%-*s  %s\n", width, "Model", "Hit@1")
-	for i, n := range names {
-		fmt.Fprintf(&sb, "%-*s  %s\n", width, n, FormatPercent(accuracies[i]))
-	}
-	return sb.String(), nil
-}
-
 // Precision returns, for predicted class j, the fraction of predictions that
 // were correct (0 when the class was never predicted).
 func (m *ConfusionMatrix) Precision(j int) float64 {
@@ -169,7 +110,7 @@ func (m *ConfusionMatrix) Precision(j int) float64 {
 }
 
 // Recall returns, for true class i, the fraction of its observations that
-// were predicted correctly (identical to PerClassAccuracy for one class).
+// were predicted correctly (0 when the class was never observed).
 func (m *ConfusionMatrix) Recall(i int) float64 {
 	total := 0
 	for _, c := range m.Counts[i] {
@@ -179,16 +120,6 @@ func (m *ConfusionMatrix) Recall(i int) float64 {
 		return 0
 	}
 	return float64(m.Counts[i][i]) / float64(total)
-}
-
-// F1 returns the harmonic mean of precision and recall for class i
-// (0 when both are 0).
-func (m *ConfusionMatrix) F1(i int) float64 {
-	p, r := m.Precision(i), m.Recall(i)
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
 }
 
 // FalsePositives returns the number of observations of other classes that

@@ -23,15 +23,11 @@ func TestObserveAndTop1(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Total() != 6 {
-		t.Fatalf("total = %d", m.Total())
-	}
 	if math.Abs(m.Top1()-4.0/6) > 1e-12 {
 		t.Fatalf("top1 = %g", m.Top1())
 	}
-	pca := m.PerClassAccuracy()
-	if math.Abs(pca[0]-2.0/3) > 1e-12 || pca[1] != 1 || pca[2] != 0.5 {
-		t.Fatalf("per-class = %v", pca)
+	if math.Abs(m.Recall(0)-2.0/3) > 1e-12 || m.Recall(1) != 1 || m.Recall(2) != 0.5 {
+		t.Fatalf("recall = %g, %g, %g", m.Recall(0), m.Recall(1), m.Recall(2))
 	}
 	if math.Abs(m.Rate(2, 0)-0.5) > 1e-12 {
 		t.Fatalf("rate(2,0) = %g", m.Rate(2, 0))
@@ -46,10 +42,7 @@ func TestObserveValidation(t *testing.T) {
 	if err := m.Observe(0, -1); err == nil {
 		t.Fatal("expected range error")
 	}
-	if err := m.ObserveAll([]int{0}, []int{0, 1}); err == nil {
-		t.Fatal("expected alignment error")
-	}
-	if err := m.ObserveAll([]int{0, 1}, []int{0, 1}); err != nil {
+	if err := m.Observe(1, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -62,15 +55,16 @@ func TestEmptyMatrixSafe(t *testing.T) {
 	if m.Rate(0, 1) != 0 {
 		t.Fatal("empty rate should be 0")
 	}
-	pca := m.PerClassAccuracy()
-	if pca[0] != 0 || pca[1] != 0 {
-		t.Fatal("empty per-class should be 0")
+	if m.Recall(0) != 0 || m.Recall(1) != 0 {
+		t.Fatal("empty recall should be 0")
 	}
 }
 
 func TestStringRendering(t *testing.T) {
 	m, _ := NewConfusionMatrix([]string{"Normal", "Talking"})
-	_ = m.ObserveAll([]int{0, 0, 1, 1}, []int{0, 1, 1, 1})
+	for _, o := range [][2]int{{0, 0}, {0, 1}, {1, 1}, {1, 1}} {
+		_ = m.Observe(o[0], o[1])
+	}
 	s := m.String()
 	if !strings.Contains(s, "Normal") || !strings.Contains(s, "0.500") || !strings.Contains(s, "1.000") {
 		t.Fatalf("rendering missing content:\n%s", s)
@@ -83,36 +77,19 @@ func TestFormatPercent(t *testing.T) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	s, err := Table([]string{"CNN+RNN", "CNN"}, []float64{0.8702, 0.7388})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(s, "CNN+RNN") || !strings.Contains(s, "87.02%") || !strings.Contains(s, "73.88%") {
-		t.Fatalf("table rendering:\n%s", s)
-	}
-	if _, err := Table([]string{"a"}, nil); err == nil {
-		t.Fatal("expected alignment error")
-	}
-}
-
-func TestPrecisionRecallF1(t *testing.T) {
+func TestPrecisionRecall(t *testing.T) {
 	m, _ := NewConfusionMatrix([]string{"a", "b", "c"})
 	// true a: 3 predicted a, 1 predicted b.
 	// true b: 2 predicted b.
 	// true c: 1 predicted a, 1 predicted c.
-	_ = m.ObserveAll(
-		[]int{0, 0, 0, 0, 1, 1, 2, 2},
-		[]int{0, 0, 0, 1, 1, 1, 0, 2},
-	)
+	for _, o := range [][2]int{{0, 0}, {0, 0}, {0, 0}, {0, 1}, {1, 1}, {1, 1}, {2, 0}, {2, 2}} {
+		_ = m.Observe(o[0], o[1])
+	}
 	if p := m.Precision(0); math.Abs(p-3.0/4) > 1e-12 {
 		t.Fatalf("precision(a) = %g", p)
 	}
 	if r := m.Recall(0); math.Abs(r-3.0/4) > 1e-12 {
 		t.Fatalf("recall(a) = %g", r)
-	}
-	if f := m.F1(0); math.Abs(f-0.75) > 1e-12 {
-		t.Fatalf("f1(a) = %g", f)
 	}
 	if p := m.Precision(1); math.Abs(p-2.0/3) > 1e-12 {
 		t.Fatalf("precision(b) = %g", p)
@@ -125,7 +102,7 @@ func TestPrecisionRecallF1(t *testing.T) {
 	}
 	// Unobserved/unpredicted classes are safe.
 	empty, _ := NewConfusionMatrix([]string{"a", "b"})
-	if empty.Precision(0) != 0 || empty.Recall(0) != 0 || empty.F1(0) != 0 {
+	if empty.Precision(0) != 0 || empty.Recall(0) != 0 {
 		t.Fatal("empty matrix should yield zeros")
 	}
 }

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"math"
-
-	"darnet/internal/tensor"
-)
+import "darnet/internal/tensor"
 
 // ReLU is the rectified-linear activation layer, applied element-wise.
 type ReLU struct {
@@ -56,77 +52,3 @@ func (r *ReLU) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
 	}
 	return out, nil
 }
-
-// Tanh is the hyperbolic-tangent activation layer.
-type Tanh struct {
-	out *tensor.Tensor
-}
-
-// NewTanh returns a Tanh activation layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "tanh" }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// OutFeatures implements Layer.
-func (t *Tanh) OutFeatures(in int) (int, error) { return in, nil }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	out := x.Clone().Apply(math.Tanh)
-	if train {
-		t.out = out
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	out := grad.Clone()
-	d, y := out.Data(), t.out.Data()
-	for i := range d {
-		d[i] *= 1 - y[i]*y[i]
-	}
-	return out, nil
-}
-
-// Sigmoid is the logistic activation layer.
-type Sigmoid struct {
-	out *tensor.Tensor
-}
-
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return "sigmoid" }
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
-
-// OutFeatures implements Layer.
-func (s *Sigmoid) OutFeatures(in int) (int, error) { return in, nil }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
-	out := x.Clone().Apply(sigmoid)
-	if train {
-		s.out = out
-	}
-	return out, nil
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *tensor.Tensor) (*tensor.Tensor, error) {
-	out := grad.Clone()
-	d, y := out.Data(), s.out.Data()
-	for i := range d {
-		d[i] *= y[i] * (1 - y[i])
-	}
-	return out, nil
-}
-
-func sigmoid(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

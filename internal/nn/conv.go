@@ -52,9 +52,6 @@ func (c *Conv2D) Name() string { return c.name }
 // Params implements Layer.
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
-// Geom returns the layer's convolution geometry.
-func (c *Conv2D) Geom() tensor.ConvGeom { return c.geom }
-
 // OutC returns the number of output channels.
 func (c *Conv2D) OutC() int { return c.outC }
 

@@ -46,9 +46,6 @@ func (d *Dense) OutFeatures(in int) (int, error) {
 // In returns the layer's input width.
 func (d *Dense) In() int { return d.in }
 
-// Out returns the layer's output width.
-func (d *Dense) Out() int { return d.out }
-
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error) {
 	if x.Dims() != 2 || x.Dim(1) != d.in {

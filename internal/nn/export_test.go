@@ -60,8 +60,6 @@ func layerFLOPs(l Layer, in, out int) float64 {
 		return 2 * float64(out)
 	case *MaxPool2D:
 		return float64(l.geom.KH*l.geom.KW) * float64(out)
-	case *AvgPool2D:
-		return float64(l.geom.KH*l.geom.KW) * float64(out)
 	case *GlobalAvgPool:
 		return float64(in)
 	}

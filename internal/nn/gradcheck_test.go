@@ -135,11 +135,6 @@ func TestGlobalAvgPoolGradients(t *testing.T) {
 
 func TestActivationGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	layers := []Layer{NewTanh(), NewSigmoid()}
-	for _, l := range layers {
-		x := tensor.Randn(rng, 1, 3, 7)
-		checkGradients(t, l, x, 1e-5)
-	}
 	// ReLU: keep values away from the kink.
 	x := tensor.Randn(rng, 1, 3, 7).Apply(func(v float64) float64 {
 		if math.Abs(v) < 0.1 {
@@ -169,7 +164,7 @@ func TestSequentialGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	net := NewSequential("net",
 		NewDense("fc1", rng, 6, 8),
-		NewTanh(),
+		NewBatchNorm("bn", 8, 8),
 		NewDense("fc2", rng, 8, 3),
 	)
 	x := tensor.Randn(rng, 1, 4, 6)
@@ -179,7 +174,7 @@ func TestSequentialGradients(t *testing.T) {
 func TestParallelGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	p := NewParallel("par",
-		NewSequential("a", NewDense("fa", rng, 5, 3), NewTanh()),
+		NewSequential("a", NewDense("fa", rng, 5, 3), NewBatchNorm("bn", 3, 3)),
 		NewSequential("b", NewDense("fb", rng, 5, 4)),
 	)
 	x := tensor.Randn(rng, 1, 3, 5)
@@ -213,22 +208,4 @@ func TestInceptionGradients(t *testing.T) {
 	if got != wantOut {
 		t.Fatalf("inception OutFeatures = %d, want %d", got, wantOut)
 	}
-}
-
-func TestAvgPoolGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	l := NewAvgPool2D("avg", tensor.ConvGeom{
-		InC: 2, InH: 4, InW: 4, KH: 2, KW: 2, StrideH: 2, StrideW: 2,
-	})
-	x := tensor.Randn(rng, 1, 2, 2*4*4)
-	checkGradients(t, l, x, 1e-6)
-}
-
-func TestAvgPoolPaddedGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	l := NewAvgPool2D("avgpad", tensor.ConvGeom{
-		InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 2, StrideW: 2, PadH: 1, PadW: 1,
-	})
-	x := tensor.Randn(rng, 1, 2, 9)
-	checkGradients(t, l, x, 1e-6)
 }

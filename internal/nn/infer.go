@@ -70,7 +70,7 @@ func newStep(l Layer, in int, out []float64) (step, error) {
 // input element at the same index, so it may overwrite its input.
 func inPlace(l Layer) bool {
 	switch l.(type) {
-	case *ReLU, *Tanh, *Sigmoid, *Dropout:
+	case *ReLU, *Dropout:
 		return true
 	}
 	return false
@@ -277,30 +277,11 @@ func (r *ReLU) infer(st *step, x []float64) {
 	}
 }
 
-// infer implements inferer; out may alias x.
-func (t *Tanh) infer(st *step, x []float64) {
-	out := st.out[:len(x)]
-	for i, v := range x {
-		out[i] = math.Tanh(v)
-	}
-}
-
-// infer implements inferer; out may alias x.
-func (s *Sigmoid) infer(st *step, x []float64) {
-	out := st.out[:len(x)]
-	for i, v := range x {
-		out[i] = sigmoid(v)
-	}
-}
-
 // infer implements inferer: inverted dropout is the identity at inference.
 func (d *Dropout) infer(st *step, x []float64) { copy(st.out, x) }
 
 // infer implements inferer.
 func (m *MaxPool2D) infer(st *step, x []float64) { m.pool(x, st.out, nil) }
-
-// infer implements inferer.
-func (a *AvgPool2D) infer(st *step, x []float64) { a.pool(x, st.out) }
 
 // infer implements inferer.
 func (g *GlobalAvgPool) infer(st *step, x []float64) { g.pool(x, st.out) }

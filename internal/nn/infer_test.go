@@ -131,11 +131,9 @@ func testNet(t *testing.T, rng *rand.Rand) *Sequential {
 		NewReLU(),
 		NewInception("mix", rng, InceptionSpec{InC: 4, InH: 6, InW: 6, C1x1: 2, C3x3Reduce: 2, C3x3: 3, C5x5Reduce: 1, C5x5: 2, CPool: 2}),
 		NewMaxPool2D("pool", tensor.ConvGeom{InC: 9, InH: 6, InW: 6, KH: 2, KW: 2, StrideH: 2, StrideW: 2}),
-		NewAvgPool2D("avg", tensor.ConvGeom{InC: 9, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}),
-		NewTanh(),
-		NewGlobalAvgPool("gap", 9, 4, 4),
+		NewGlobalAvgPool("gap", 9, 3, 3),
 		NewBatchNorm("bn1", 9, 9),
-		NewSigmoid(),
+		NewReLU(),
 		NewDropout("drop", rng, 0.3),
 		NewDense("head", rng, 9, 3),
 	)
@@ -174,8 +172,8 @@ func TestInferLeavesInputAlone(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	net := NewSequential("n",
 		NewReLU(),
-		NewParallel("p", NewSequential("t0", NewTanh(), NewDropout("d", rng, 0.5)), NewReLU()),
-		NewSigmoid(),
+		NewParallel("p", NewSequential("t0", NewDropout("d0", rng, 0.5), NewReLU()), NewReLU()),
+		NewDropout("d1", rng, 0.5),
 	)
 	x := []float64{-1, 0.5, -0.25, 2}
 	orig := append([]float64(nil), x...)

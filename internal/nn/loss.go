@@ -53,23 +53,6 @@ func CrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, probs, gra
 	return loss * inv, probs, grad, nil
 }
 
-// MSE computes the mean squared error between pred and target plus the
-// gradient dL/dPred. The loss is averaged over all elements.
-func MSE(pred, target *tensor.Tensor) (loss float64, grad *tensor.Tensor, err error) {
-	if !tensor.SameShape(pred, target) {
-		return 0, nil, fmt.Errorf("nn: mse shape mismatch %v vs %v", pred.Shape(), target.Shape())
-	}
-	grad = tensor.New(pred.Shape()...)
-	pd, td, gd := pred.Data(), target.Data(), grad.Data()
-	inv := 1.0 / float64(len(pd))
-	for i := range pd {
-		d := pd[i] - td[i]
-		loss += d * d
-		gd[i] = 2 * d * inv
-	}
-	return loss * inv, grad, nil
-}
-
 // L2Distance computes the summed squared Euclidean distance between pred and
 // target rows (the dCNN distillation loss of paper §4.3) averaged over the
 // batch, plus dL/dPred.

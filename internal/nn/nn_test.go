@@ -110,20 +110,9 @@ func TestCrossEntropyGradientNumeric(t *testing.T) {
 	}
 }
 
-func TestMSEAndL2Distance(t *testing.T) {
+func TestL2Distance(t *testing.T) {
 	pred := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	target := tensor.MustFromSlice([]float64{1, 0, 3, 0}, 2, 2)
-
-	mse, mgrad, err := MSE(pred, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(mse-(4+16)/4.0) > 1e-12 {
-		t.Fatalf("mse = %g", mse)
-	}
-	if mgrad.At(0, 1) != 2*2/4.0 {
-		t.Fatalf("mse grad = %v", mgrad.Data())
-	}
 
 	l2, lgrad, err := L2Distance(pred, target)
 	if err != nil {
@@ -136,7 +125,7 @@ func TestMSEAndL2Distance(t *testing.T) {
 		t.Fatalf("l2 grad = %v", lgrad.Data())
 	}
 
-	if _, _, err := MSE(pred, tensor.New(3)); err == nil {
+	if _, _, err := L2Distance(pred, tensor.New(3)); err == nil {
 		t.Fatal("expected shape mismatch error")
 	}
 }
@@ -467,26 +456,6 @@ func TestConvKnownValues(t *testing.T) {
 	}
 	if y.Size() != 1 || math.Abs(y.At(0, 0)-5.5) > 1e-12 {
 		t.Fatalf("conv output = %v, want [5.5]", y.Data())
-	}
-}
-
-func TestAvgPoolKnownValues(t *testing.T) {
-	l := NewAvgPool2D("avg", tensor.ConvGeom{
-		InC: 1, InH: 2, InW: 2, KH: 2, KW: 2, StrideH: 2, StrideW: 2,
-	})
-	x := tensor.MustFromSlice([]float64{1, 2, 3, 4}, 1, 4)
-	y, err := l.Forward(x, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y.Size() != 1 || y.At(0, 0) != 2.5 {
-		t.Fatalf("avg pool = %v, want [2.5]", y.Data())
-	}
-	if out, err := l.OutFeatures(4); err != nil || out != 1 {
-		t.Fatalf("OutFeatures = %d, %v", out, err)
-	}
-	if _, err := l.Forward(tensor.New(1, 5), false); err == nil {
-		t.Fatal("expected width error")
 	}
 }
 

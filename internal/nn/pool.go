@@ -32,9 +32,6 @@ func (m *MaxPool2D) Name() string { return m.name }
 // Params implements Layer.
 func (m *MaxPool2D) Params() []*Param { return nil }
 
-// Geom returns the pooling geometry.
-func (m *MaxPool2D) Geom() tensor.ConvGeom { return m.geom }
-
 // OutFeatures implements Layer.
 func (m *MaxPool2D) OutFeatures(in int) (int, error) {
 	want := m.geom.InC * m.geom.InH * m.geom.InW

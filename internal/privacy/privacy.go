@@ -24,16 +24,12 @@ type Ratios struct {
 	High   int
 }
 
-// PaperRatios are the paper's 300×300 → 100×100 / 50×50 / 25×25 paths
-// (ratios 3, 6, 12).
-func PaperRatios() Ratios { return Ratios{Low: 3, Medium: 6, High: 12} }
-
 // CompactRatios are the factors used for this reproduction's 32×32 frames.
-// The paper's ratios assume 300×300 sources, where even the 25×25 "high"
-// path keeps a recognizable blocky silhouette (Figure 4); applying 12× to a
-// 32×32 frame would leave 2×2 pixels — information-free. CompactRatios are
-// chosen so each level preserves a comparable fraction of the scene's pose
-// information: 16×16 (nearly lossless), ~10×10 (pose barely visible), 8×8
+// The paper's ratios (3, 6, 12) assume 300×300 sources, where even the
+// 25×25 "high" path keeps a recognizable blocky silhouette (Figure 4);
+// applying 12× to a 32×32 frame would leave 2×2 pixels — information-free.
+// CompactRatios keep a comparable fraction of the scene's pose at each
+// level: 16×16 (nearly lossless), ~10×10 (pose barely visible), 8×8
 // (almost unidentifiable), mirroring the perceptual ladder of Figure 4.
 func CompactRatios() Ratios { return Ratios{Low: 2, Medium: 3, High: 4} }
 

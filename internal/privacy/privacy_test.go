@@ -11,8 +11,11 @@ import (
 	"darnet/internal/vision"
 )
 
+// paperRatios are the paper's 300×300 → 100×100 / 50×50 / 25×25 paths.
+var paperRatios = Ratios{Low: 3, Medium: 6, High: 12}
+
 func TestDownsampleRatios(t *testing.T) {
-	pr := PaperRatios()
+	pr := paperRatios
 	tests := []struct {
 		level collect.DistortionLevel
 		want  int
@@ -46,7 +49,7 @@ func TestDistortPreservesGeometryAndTags(t *testing.T) {
 		img.Pix[i] = float64(i%7) / 7
 	}
 	for _, level := range []collect.DistortionLevel{collect.DistortNone, collect.DistortLow, collect.DistortMedium, collect.DistortHigh} {
-		tf, err := Distort(img, level, PaperRatios())
+		tf, err := Distort(img, level, paperRatios)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +61,7 @@ func TestDistortPreservesGeometryAndTags(t *testing.T) {
 		}
 	}
 	// None is the identity.
-	tf, err := Distort(img, collect.DistortNone, PaperRatios())
+	tf, err := Distort(img, collect.DistortNone, paperRatios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +86,7 @@ func TestDistortDestroysInformationMonotonically(t *testing.T) {
 		img.Pix[i] = rng.Float64()
 	}
 	distinct := func(level collect.DistortionLevel) int {
-		tf, err := Distort(img, level, PaperRatios())
+		tf, err := Distort(img, level, paperRatios)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +109,7 @@ func TestDistortDestroysInformationMonotonically(t *testing.T) {
 }
 
 func TestDistortRowsValidation(t *testing.T) {
-	if _, err := DistortRows(tensor.New(2, 10), 4, 4, collect.DistortLow, PaperRatios()); err == nil {
+	if _, err := DistortRows(tensor.New(2, 10), 4, 4, collect.DistortLow, paperRatios); err == nil {
 		t.Fatal("expected width mismatch error")
 	}
 }
@@ -226,7 +229,7 @@ func TestDistillProducesWorkingStudent(t *testing.T) {
 	cfg.Epochs = 8
 	var epochs int
 	cfg.Progress = func(epoch int, loss float64) { epochs++ }
-	student, err := Distill(teacher, build, frames, w, h, collect.DistortLow, PaperRatios(), rng, cfg)
+	student, err := Distill(teacher, build, frames, w, h, collect.DistortLow, paperRatios, rng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +238,7 @@ func TestDistillProducesWorkingStudent(t *testing.T) {
 	}
 
 	// Evaluate the student on distorted frames (its operating condition).
-	distorted, err := DistortRows(frames, w, h, collect.DistortLow, PaperRatios())
+	distorted, err := DistortRows(frames, w, h, collect.DistortLow, paperRatios)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +255,11 @@ func TestDistillValidation(t *testing.T) {
 		return nn.NewSequential("s", nn.NewDense("fc", rng, 4, 2)), nil
 	}
 	frames := tensor.New(4, 4)
-	if _, err := Distill(teacher, build, frames, 2, 2, collect.DistortLow, PaperRatios(), rng, DistillConfig{}); err == nil {
+	if _, err := Distill(teacher, build, frames, 2, 2, collect.DistortLow, paperRatios, rng, DistillConfig{}); err == nil {
 		t.Fatal("expected config validation error")
 	}
 	cfg := DefaultDistillConfig()
-	if _, err := Distill(teacher, build, tensor.New(0, 4), 2, 2, collect.DistortLow, PaperRatios(), rng, cfg); err == nil {
+	if _, err := Distill(teacher, build, tensor.New(0, 4), 2, 2, collect.DistortLow, paperRatios, rng, cfg); err == nil {
 		t.Fatal("expected empty-frames error")
 	}
 }
@@ -275,7 +278,7 @@ func TestDistillInitFromTeacherCopiesWeights(t *testing.T) {
 	cfg := DefaultDistillConfig()
 	cfg.Epochs = 1
 	cfg.LR = 1e-9 // keep weights essentially unchanged
-	if _, err := Distill(teacher, build, frames, 2, 2, collect.DistortLow, PaperRatios(), rng, cfg); err != nil {
+	if _, err := Distill(teacher, build, frames, 2, 2, collect.DistortLow, paperRatios, rng, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(student.Params()[0].Value.Data()[0]-0.777) > 1e-3 {
@@ -292,11 +295,11 @@ func TestDistillWithTemperatureObjective(t *testing.T) {
 	cfg := DefaultDistillConfig()
 	cfg.Epochs = 8
 	cfg.Temperature = 3 // softened-CE objective instead of the paper's L2
-	student, err := Distill(teacher, build, frames, w, h, collect.DistortLow, PaperRatios(), rng, cfg)
+	student, err := Distill(teacher, build, frames, w, h, collect.DistortLow, paperRatios, rng, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	distorted, err := DistortRows(frames, w, h, collect.DistortLow, PaperRatios())
+	distorted, err := DistortRows(frames, w, h, collect.DistortLow, paperRatios)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"darnet/internal/metrics"
 	"darnet/internal/nn"
 	"darnet/internal/tensor"
 )
@@ -375,29 +374,4 @@ func (c *Classifier) Evaluate(seqs []*tensor.Tensor, labels []int) (float64, err
 		}
 	}
 	return float64(hits) / float64(len(seqs)), nil
-}
-
-// EvaluateConfusion runs the classifier over a labelled sequence set and
-// returns the confusion matrix (rows = true classes).
-func (c *Classifier) EvaluateConfusion(seqs []*tensor.Tensor, labels []int, classNames []string) (*metrics.ConfusionMatrix, error) {
-	if len(seqs) != len(labels) {
-		return nil, fmt.Errorf("rnn: %d sequences for %d labels", len(seqs), len(labels))
-	}
-	if len(classNames) != c.classes {
-		return nil, fmt.Errorf("rnn: %d class names for %d classes", len(classNames), c.classes)
-	}
-	cm, err := metrics.NewConfusionMatrix(classNames)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range seqs {
-		pred, err := c.Predict(s)
-		if err != nil {
-			return nil, err
-		}
-		if err := cm.Observe(labels[i], pred); err != nil {
-			return nil, err
-		}
-	}
-	return cm, nil
 }

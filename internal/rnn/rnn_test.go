@@ -318,25 +318,3 @@ func TestDeepStackWidthsChain(t *testing.T) {
 		t.Fatalf("logits width = %d, want 5", logits.Dim(1))
 	}
 }
-
-func TestEvaluateConfusion(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	c, err := NewClassifier("cm", rng, Config{Input: 2, Hidden: 4, Layers: 1, Classes: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqs, labels := makeToySequences(rng, 12, 8)
-	cm, err := c.EvaluateConfusion(seqs, labels, []string{"a", "b", "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.Total() != 12 {
-		t.Fatalf("confusion total = %d", cm.Total())
-	}
-	if _, err := c.EvaluateConfusion(seqs, labels[:3], []string{"a", "b", "c"}); err == nil {
-		t.Fatal("expected alignment error")
-	}
-	if _, err := c.EvaluateConfusion(seqs, labels, []string{"a"}); err == nil {
-		t.Fatal("expected class-name error")
-	}
-}

@@ -463,13 +463,6 @@ func (p *Pipeline) checkStall() {
 	go p.worker(gen, tk)
 }
 
-// AlertActive reports whether this pipeline currently has a raised alert.
-func (p *Pipeline) AlertActive() bool {
-	p.alertMu.Lock()
-	defer p.alertMu.Unlock()
-	return p.alert.Active()
-}
-
 // Skipping reports whether frame-skip degradation is currently engaged.
 func (p *Pipeline) Skipping() bool { return p.skipping.Load() }
 

@@ -23,12 +23,6 @@ var latencyBuckets = func() []float64 {
 	return b
 }()
 
-// LatencyBuckets returns (a copy of) the default latency bucket upper
-// bounds in seconds.
-func LatencyBuckets() []float64 {
-	return append([]float64(nil), latencyBuckets...)
-}
-
 // Histogram is a fixed-bucket distribution of observations (typically
 // latencies in seconds). Observation is lock-free: one atomic add into the
 // bucket found by binary search over the static bounds, plus count/sum

@@ -190,7 +190,7 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // Histogram returns the histogram registered under name, creating it with
 // the given bucket upper bounds (seconds, ascending) on first use. A nil
-// buckets slice uses LatencyBuckets.
+// buckets slice uses the default latency buckets.
 func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	mustValidName(name)
 	r.mu.Lock()

@@ -182,14 +182,16 @@ func TestHistogramRejectsUnsortedBounds(t *testing.T) {
 	r.Histogram("darnet_bad_seconds", "", []float64{2, 1})
 }
 
+// TestLatencyBucketsCopy: a histogram built on the default buckets gets
+// its own copy of the 27 bounds from 1 µs.
 func TestLatencyBucketsCopy(t *testing.T) {
-	b := LatencyBuckets()
+	b := newHistogram("darnet_default_seconds", "", nil).bounds
 	if len(b) != 27 || b[0] != 1e-6 {
 		t.Fatalf("unexpected default buckets: %d bounds, first %g", len(b), b[0])
 	}
 	b[0] = 99 // mutating the copy must not corrupt the shared defaults
-	if LatencyBuckets()[0] != 1e-6 {
-		t.Fatal("LatencyBuckets returned shared storage")
+	if latencyBuckets[0] != 1e-6 {
+		t.Fatal("histogram shares the default buckets' storage")
 	}
 }
 

@@ -11,7 +11,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 )
@@ -190,15 +189,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// CopyFrom copies src's elements into t. Shapes must have equal sizes.
-func (t *Tensor) CopyFrom(src *Tensor) error {
-	if len(t.data) != len(src.data) {
-		return fmt.Errorf("tensor: copy size mismatch %v vs %v", t.shape, src.shape)
-	}
-	copy(t.data, src.data)
-	return nil
-}
-
 // SameShape reports whether a and b have identical shapes.
 func SameShape(a, b *Tensor) bool {
 	if len(a.shape) != len(b.shape) {
@@ -293,15 +283,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 // Add returns a new tensor a+b.
 func Add(a, b *Tensor) *Tensor { return a.Clone().AddInPlace(b) }
 
-// Sub returns a new tensor a-b.
-func Sub(a, b *Tensor) *Tensor { return a.Clone().SubInPlace(b) }
-
-// Mul returns a new tensor with the element-wise product of a and b.
-func Mul(a, b *Tensor) *Tensor { return a.Clone().MulInPlace(b) }
-
-// Scale returns a new tensor s*a.
-func Scale(a *Tensor, s float64) *Tensor { return a.Clone().ScaleInPlace(s) }
-
 // --- Reductions --------------------------------------------------------------
 
 // Sum returns the sum of all elements.
@@ -348,15 +329,6 @@ func (t *Tensor) ArgMax() int {
 		}
 	}
 	return bi
-}
-
-// L2Norm returns the Euclidean norm of all elements.
-func (t *Tensor) L2Norm() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // ArgMaxRow returns, for each row of a 2-D tensor, the column index of the

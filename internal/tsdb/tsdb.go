@@ -135,13 +135,6 @@ func (db *DB) Update(fn func(insert func(series string, p Point))) {
 	mPoints.Add(int64(inserted))
 }
 
-// InsertBatch adds many points to a series.
-func (db *DB) InsertBatch(series string, pts []Point) {
-	for _, p := range pts {
-		db.Insert(series, p)
-	}
-}
-
 // Snapshot copies every series under the write lock and, while still holding
 // it, runs fn. The callback is the checkpoint/WAL-rotation hook: because no
 // Insert can run while fn does, every point is either fully inside the

@@ -60,7 +60,9 @@ func TestInsertEqualTimestampsKeepArrivalOrder(t *testing.T) {
 
 func TestRangeBoundaries(t *testing.T) {
 	db := New()
-	db.InsertBatch("s", []Point{{10, 1}, {20, 2}, {30, 3}})
+	for _, p := range []Point{{10, 1}, {20, 2}, {30, 3}} {
+		db.Insert("s", p)
+	}
 	got := db.Range("s", 10, 30) // [from, to)
 	if len(got) != 2 || got[0].Value != 1 || got[1].Value != 2 {
 		t.Fatalf("range = %v", got)
@@ -96,7 +98,9 @@ func TestBoundsAndSeries(t *testing.T) {
 
 func TestResampleLinearInterpolates(t *testing.T) {
 	db := New()
-	db.InsertBatch("s", []Point{{0, 0}, {100, 10}})
+	for _, p := range []Point{{0, 0}, {100, 10}} {
+		db.Insert("s", p)
+	}
 	vals, err := db.ResampleLinear("s", 0, 101, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +118,9 @@ func TestResampleLinearInterpolates(t *testing.T) {
 
 func TestResampleClampsBoundaries(t *testing.T) {
 	db := New()
-	db.InsertBatch("s", []Point{{100, 5}, {200, 7}})
+	for _, p := range []Point{{100, 5}, {200, 7}} {
+		db.Insert("s", p)
+	}
 	vals, err := db.ResampleLinear("s", 0, 300, 100)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +149,9 @@ func TestResampleValidation(t *testing.T) {
 
 func TestResampleDuplicateTimestamps(t *testing.T) {
 	db := New()
-	db.InsertBatch("s", []Point{{10, 1}, {10, 3}, {20, 5}})
+	for _, p := range []Point{{10, 1}, {10, 3}, {20, 5}} {
+		db.Insert("s", p)
+	}
 	vals, err := db.ResampleLinear("s", 10, 21, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +267,12 @@ func TestConcurrentInsertAndRead(t *testing.T) {
 
 func TestPrune(t *testing.T) {
 	db := New()
-	db.InsertBatch("a", []Point{{10, 1}, {20, 2}, {30, 3}})
-	db.InsertBatch("b", []Point{{5, 1}, {6, 2}})
+	for _, p := range []Point{{10, 1}, {20, 2}, {30, 3}} {
+		db.Insert("a", p)
+	}
+	for _, p := range []Point{{5, 1}, {6, 2}} {
+		db.Insert("b", p)
+	}
 	dropped := db.Prune(25)
 	if dropped != 4 {
 		t.Fatalf("dropped = %d, want 4", dropped)
