@@ -2,8 +2,8 @@
 # pass: formatting, go vet, the project's own static analyzers
 # (cmd/darnet-lint), a full build and test sweep, the race detector over
 # the concurrent middleware packages and the model packages they share, the
-# bench/stream/obs/crash smokes, and one pass of the per-layer kernel
-# benchmarks.
+# bench/stream/obs/crash smokes, a vet of the module for a GOARCH without the
+# assembly kernels, and one pass of the per-layer kernel benchmarks.
 
 GO ?= go
 
@@ -32,7 +32,7 @@ OBS_OUT ?= /tmp/darnet-obs-smoke.json
 CRASH_OUT ?= /tmp/darnet-crash-smoke.json
 CRASH_SCALE ?= 0.01
 
-.PHONY: verify fmt vet lint build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos fuzz-smoke
+.PHONY: verify fmt vet cross lint build test race perfbench-test bench-kernels bench-smoke stream-smoke obs-smoke crash-smoke chaos fuzz-smoke
 
 # The lint sweep in verify must use less than this many milliseconds of CPU
 # time (user + sys): the analyzers are part of the inner loop, and a
@@ -40,7 +40,7 @@ CRASH_SCALE ?= 0.01
 # silently tax every future build.
 LINT_BUDGET_MS ?= 2000
 
-verify: fmt vet lint build test race perfbench-test bench-smoke stream-smoke obs-smoke crash-smoke
+verify: fmt vet cross lint build test race perfbench-test bench-smoke stream-smoke obs-smoke crash-smoke
 	$(MAKE) bench-kernels KERNEL_BENCHTIME=1x
 	@echo "verify: OK"
 
@@ -52,6 +52,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# cross vets the module for arm64, which builds the Go kernels instead of
+# the amd64 assembly (internal/tensor): the per-GOARCH kernel files must keep
+# every other architecture compiling and passing vet.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 # lint runs the full analyzer registry over the module as one linked unit:
 # one call graph spans every package, so the whole-program analyzers follow
@@ -92,8 +98,10 @@ race:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-# bench-kernels is the per-layer kernel ledger, with ns/op, allocs/op, FLOPs
-# and GFLOP/s: BenchmarkInferLayers runs one sub-benchmark per
+# bench-kernels is the kernel and per-layer ledger, with ns/op, allocs/op,
+# FLOPs and GFLOP/s: BenchmarkKernels (internal/tensor) runs every
+# multiply-accumulate, max-pool and ReLU kernel path the host can execute
+# on the served shapes, BenchmarkInferLayers one sub-benchmark per
 # MicroInception layer (internal/nn) and per BiLSTM layer (internal/rnn) on
 # a warm inference workspace, BenchmarkTrainLayers one per convolution,
 # dense and BiLSTM layer for a training forward plus backward pass, and
@@ -102,7 +110,7 @@ perfbench-test:
 # BenchmarkEngineTickerWindow (internal/stream) one stream window through the
 # engine ticker at perfbench's geometry.
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkInferLayers|BenchmarkTrainLayers|BenchmarkClassifyStages|BenchmarkEngineTickerWindow' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/nn ./internal/rnn ./internal/core ./internal/stream
+	$(GO) test -run '^$$' -bench 'BenchmarkKernels|BenchmarkInferLayers|BenchmarkTrainLayers|BenchmarkClassifyStages|BenchmarkEngineTickerWindow' -benchmem -benchtime $(KERNEL_BENCHTIME) ./internal/tensor ./internal/nn ./internal/rnn ./internal/core ./internal/stream
 
 # bench-smoke trains a deliberately tiny configuration, probes the serving
 # path, writes the machine-readable benchmark, and validates it: the only

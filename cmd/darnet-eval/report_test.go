@@ -1,9 +1,11 @@
 package main
 
 import (
+	"encoding/json"
 	"go/parser"
 	"go/token"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -31,14 +33,71 @@ func TestCommittedReportsPassCheckBench(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) != len(benchmarks) {
-		t.Fatalf("%d committed reports %v, want one per benchmark (%d)", len(files), files, len(benchmarks))
-	}
+	var reports []string
 	for _, f := range files {
+		if !checkPerfbenchRecord(t, f) {
+			reports = append(reports, f)
+		}
+	}
+	if len(reports) != len(benchmarks) {
+		t.Fatalf("%d committed reports %v, want one per benchmark (%d)", len(reports), reports, len(benchmarks))
+	}
+	for _, f := range reports {
 		if err := checkBenchFile(f); err != nil {
 			t.Error(err)
 		}
 	}
+}
+
+// checkPerfbenchRecord reports whether path is a committed record of paired
+// perfbench runs rather than a darnet-eval report, and if so checks that it
+// holds alternating parent and change runs, each with perfbench's own
+// result line: correct, no failed operation, and every metric with a unit.
+func checkPerfbenchRecord(t *testing.T, path string) bool {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		Perfbench *struct {
+			Runs []struct {
+				Workload, Side string
+				Pair, Order    int
+				Result         struct {
+					Correct   bool
+					Attempted int
+					Failed    int
+					Metrics   map[string]struct {
+						Value *float64
+						Unit  string
+					}
+				}
+			}
+		}
+	}
+	if err := json.Unmarshal(buf, &rec); err != nil || rec.Perfbench == nil {
+		return false
+	}
+	if len(rec.Perfbench.Runs) == 0 {
+		t.Errorf("%s: no perfbench runs", path)
+	}
+	for i, r := range rec.Perfbench.Runs {
+		if r.Side != "parent" && r.Side != "change" || r.Order != 1 && r.Order != 2 {
+			t.Errorf("%s: run %d: side %q order %d", path, i, r.Side, r.Order)
+		}
+		res := r.Result
+		if !res.Correct || res.Failed != 0 || res.Attempted <= 0 || len(res.Metrics) == 0 {
+			t.Errorf("%s: run %d (%s %s pair %d): correct %v, %d of %d failed, %d metrics",
+				path, i, r.Workload, r.Side, r.Pair, res.Correct, res.Failed, res.Attempted, len(res.Metrics))
+		}
+		for name, m := range res.Metrics {
+			if m.Value == nil || m.Unit == "" {
+				t.Errorf("%s: run %d: metric %s lacks a value or unit", path, i, name)
+			}
+		}
+	}
+	return true
 }
 
 // TestGatesRejectEachViolation starts from each experiment's committed

@@ -15,26 +15,27 @@ type LayerRun struct {
 }
 
 // InferLayers runs s.Infer(ws, x) once and returns the leaf layers in
-// execution order, descending into sequences and parallel towers.
+// execution order (a ReLU before a max pool runs after it), descending into
+// sequences and parallel towers.
 func InferLayers(s *Sequential, ws *Workspace, x []float64) ([]LayerRun, error) {
 	if _, err := s.Infer(ws, x); err != nil {
 		return nil, err
 	}
 	var runs []LayerRun
-	var walk func(l Layer, st *step, x []float64)
-	walk = func(l Layer, st *step, x []float64) {
-		switch l := l.(type) {
+	var walk func(st *step, x []float64)
+	walk = func(st *step, x []float64) {
+		switch st.layer.(type) {
 		case *Sequential:
-			for i, sub := range l.layers {
-				walk(sub, &st.sub[i], x)
+			for i := range st.sub {
+				walk(&st.sub[i], x)
 				x = st.sub[i].out
 			}
 		case *Parallel:
-			for i, t := range l.towers {
-				walk(t, &st.sub[i], x)
+			for i := range st.sub {
+				walk(&st.sub[i], x)
 			}
 		default:
-			inf := st.layer
+			l, inf := st.layer.(Layer), st.layer
 			runs = append(runs, LayerRun{
 				Name:  l.Name(),
 				FLOPs: layerFLOPs(l, len(x), len(st.out)),
@@ -42,7 +43,7 @@ func InferLayers(s *Sequential, ws *Workspace, x []float64) ([]LayerRun, error) 
 			})
 		}
 	}
-	walk(s, &ws.root, x)
+	walk(&ws.root, x)
 	return runs, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"darnet/internal/tensor"
 )
@@ -161,15 +162,34 @@ func SoftmaxInto(dst, logits []float64) {
 	}
 }
 
-// newSteps sizes the steps of the sequence's layers. The walk runs back to
-// front so that each layer writes where its consumer reads: the last layer
-// into out, and the producer of an in-place layer straight into that
-// layer's buffer.
+// inferOrder returns the sequence's layers in the order inference runs
+// them: s.layers, except that a ReLU directly before a MaxPool2D runs after
+// it, on the pool's smaller output. The two commute for every input, NaN
+// included (DESIGN.md), so the swap changes the work and not the result.
+// Forward keeps the declared order.
+func (s *Sequential) inferOrder() []Layer {
+	layers := slices.Clone(s.layers)
+	for i := 0; i+1 < len(layers); i++ {
+		_, relu := layers[i].(*ReLU)
+		_, pool := layers[i+1].(*MaxPool2D)
+		if relu && pool {
+			layers[i], layers[i+1] = layers[i+1], layers[i]
+			i++
+		}
+	}
+	return layers
+}
+
+// newSteps sizes the steps of the sequence's layers in inferOrder. The
+// walk runs back to front so that each layer writes where its consumer
+// reads: the last layer into out, and the producer of an in-place layer
+// straight into that layer's buffer.
 func (s *Sequential) newSteps(in int, out []float64) ([]step, error) {
-	n := len(s.layers)
+	layers := s.inferOrder()
+	n := len(layers)
 	widths := make([]int, n+1)
 	widths[0] = in
-	for i, l := range s.layers {
+	for i, l := range layers {
 		w, err := l.OutFeatures(widths[i])
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
@@ -183,10 +203,10 @@ func (s *Sequential) newSteps(in int, out []float64) ([]step, error) {
 			dst = make([]float64, widths[i+1])
 		}
 		var err error
-		if steps[i], err = newStep(s.layers[i], widths[i], dst); err != nil {
+		if steps[i], err = newStep(layers[i], widths[i], dst); err != nil {
 			return nil, fmt.Errorf("%s: %w", s.name, err)
 		}
-		if i == 0 || !inPlace(s.layers[i]) {
+		if i == 0 || !inPlace(layers[i]) {
 			dst = nil
 		}
 	}
@@ -266,22 +286,13 @@ func (b *BatchNorm) infer(st *step, x []float64) {
 
 // infer implements inferer; out may alias x. As in Forward, everything that
 // is not greater than zero becomes +0, a NaN included.
-func (r *ReLU) infer(st *step, x []float64) {
-	out := st.out[:len(x)]
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
-}
+func (r *ReLU) infer(st *step, x []float64) { tensor.ReLUInto(st.out, x) }
 
 // infer implements inferer: inverted dropout is the identity at inference.
 func (d *Dropout) infer(st *step, x []float64) { copy(st.out, x) }
 
 // infer implements inferer.
-func (m *MaxPool2D) infer(st *step, x []float64) { m.pool(x, st.out, nil) }
+func (m *MaxPool2D) infer(st *step, x []float64) { m.geom.MaxPool(x, st.out, nil) }
 
 // infer implements inferer.
 func (g *GlobalAvgPool) infer(st *step, x []float64) { g.pool(x, st.out) }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"darnet/internal/tensor"
@@ -139,29 +138,4 @@ func (s *Sequential) NumParams() int {
 		n += p.Value.Size()
 	}
 	return n
-}
-
-// Summary renders a human-readable table of the network's layers with their
-// output widths (threaded from the given input width) and parameter counts.
-func (s *Sequential) Summary(inWidth int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s (input width %d)\n", s.name, inWidth)
-	w := inWidth
-	total := 0
-	for _, l := range s.layers {
-		params := 0
-		for _, p := range l.Params() {
-			params += p.Value.Size()
-		}
-		total += params
-		out, err := l.OutFeatures(w)
-		if err != nil {
-			fmt.Fprintf(&sb, "  %-16s <width error: %v>\n", l.Name(), err)
-			return sb.String()
-		}
-		fmt.Fprintf(&sb, "  %-16s %6d -> %-6d params %d\n", l.Name(), w, out, params)
-		w = out
-	}
-	fmt.Fprintf(&sb, "  total parameters: %d\n", total)
-	return sb.String()
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -542,24 +541,5 @@ func TestDistillationLossValidation(t *testing.T) {
 	}
 	if _, _, err := DistillationLoss(a, a.Clone(), 0); err == nil {
 		t.Fatal("expected temperature error")
-	}
-}
-
-func TestSequentialSummary(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	net := NewSequential("mlp",
-		NewDense("fc1", rng, 4, 8),
-		NewReLU(),
-		NewDense("fc2", rng, 8, 2),
-	)
-	s := net.Summary(4)
-	for _, want := range []string{"mlp", "fc1", "relu", "fc2", "total parameters: 58"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("summary missing %q:\n%s", want, s)
-		}
-	}
-	// A wrong input width is reported, not panicked on.
-	if !strings.Contains(net.Summary(5), "width error") {
-		t.Fatal("summary should surface width errors")
 	}
 }

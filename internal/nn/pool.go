@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"darnet/internal/tensor"
 )
@@ -65,71 +64,9 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) (*tensor.Tensor, error
 		if train {
 			argmax = m.argmax[s*g.InC*spatial : (s+1)*g.InC*spatial]
 		}
-		m.pool(x.Row(s), out.Row(s), argmax)
+		g.MaxPool(x.Row(s), out.Row(s), argmax)
 	}
 	return out, nil
-}
-
-// pool max-pools one sample; Forward and Infer share it. Each output takes
-// the first element of its window, in row-major order, that is greater than
-// every element before it; a window with no element above −Inf (all
-// padding, −Inf or NaN) emits 0. When argmax is not nil it receives the flat
-// input index each output took, or -1 for such a window.
-//
-// The window loops run outside the output-column loop: orow holds the
-// running maxima, starting at −Inf, and each window position sweeps one
-// output row at the pool's stride, with the row's ends clipped once rather
-// than every element tested against the input's bounds. Each output still
-// sees its window in row-major order.
-func (m *MaxPool2D) pool(xrow, orow []float64, argmax []int) {
-	g := m.geom
-	outH, outW := g.OutH(), g.OutW()
-	orow = orow[:g.InC*outH*outW]
-	for i := range orow {
-		orow[i] = math.Inf(-1)
-	}
-	for i := range argmax {
-		argmax[i] = -1
-	}
-	for c := 0; c < g.InC; c++ {
-		for oh := 0; oh < outH; oh++ {
-			first := (c*outH + oh) * outW
-			best := orow[first : first+outW]
-			for kh := 0; kh < g.KH; kh++ {
-				ih := oh*g.StrideH + kh - g.PadH
-				if ih < 0 || ih >= g.InH {
-					continue
-				}
-				rowOff := (c*g.InH + ih) * g.InW
-				for kw := 0; kw < g.KW; kw++ {
-					// Output column ow reads input column ow*StrideW + off;
-					// [lo, hi) are the outputs whose column is inside the row.
-					off := kw - g.PadW
-					lo, hi := 0, outW
-					for lo < hi && lo*g.StrideW+off < 0 {
-						lo++
-					}
-					for hi > lo && (hi-1)*g.StrideW+off >= g.InW {
-						hi--
-					}
-					idx := rowOff + lo*g.StrideW + off
-					for ow := lo; ow < hi; ow, idx = ow+1, idx+g.StrideW {
-						if v := xrow[idx]; v > best[ow] {
-							best[ow] = v
-							if argmax != nil {
-								argmax[first+ow] = idx
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	for i, v := range orow {
-		if math.IsInf(v, -1) {
-			orow[i] = 0
-		}
-	}
 }
 
 // Backward implements Layer.

@@ -27,11 +27,49 @@ func MustMatMul(a, b *Tensor) *Tensor {
 }
 
 // GemmAcc accumulates the matrix product dst += a×b for row-major a (m×k),
-// b (k×n) and dst (m×n), one VecMatAcc per row of dst.
+// b (k×n) and dst (m×n). Rows of dst go two at a time through vecMatAcc2,
+// so each loaded row of b serves both; an odd last row goes through
+// VecMatAcc. Every element adds the same products in the same order either
+// way.
 func GemmAcc(dst, a, b []float64, m, k, n int) {
-	for i := 0; i < m; i++ {
+	i := 0
+	for ; i+2 <= m; i += 2 {
+		vecMatAcc2(dst[i*n:(i+1)*n], dst[(i+1)*n:(i+2)*n], a[i*k:(i+1)*k], a[(i+1)*k:(i+2)*k], b)
+	}
+	if i < m {
 		VecMatAcc(dst[i*n:(i+1)*n], a[i*k:(i+1)*k], b)
 	}
+}
+
+// vecMatAcc2 is VecMatAcc into two rows at once: d0 += a·m and d1 += c·m,
+// with len(c) = len(a). A block of four rows of m goes through axpy4x2
+// when both rows have a nonzero coefficient in it. When one row's four
+// coefficients are all zero, that row skips the block exactly as VecMatAcc
+// does, and the other row takes it through axpy4 alone. So each row gets
+// VecMatAcc's bits, zero-block skips included.
+func vecMatAcc2(d0, d1, a, c, m []float64) {
+	n := len(d0)
+	r := 0
+	for ; r+4 <= len(a); r += 4 {
+		m0, m1, m2, m3 := m[r*n:r*n+n], m[(r+1)*n:(r+1)*n+n], m[(r+2)*n:(r+2)*n+n], m[(r+3)*n:(r+3)*n+n]
+		a0, a1, a2, a3 := a[r], a[r+1], a[r+2], a[r+3]
+		c0, c1, c2, c3 := c[r], c[r+1], c[r+2], c[r+3]
+		aZero := a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0
+		cZero := c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0
+		switch {
+		case aZero && cZero:
+		case cZero:
+			axpy4(d0, m0, m1, m2, m3, a0, a1, a2, a3)
+		case aZero:
+			axpy4(d1, m0, m1, m2, m3, c0, c1, c2, c3)
+		default:
+			axpy4x2(d0, d1, m0, m1, m2, m3, a0, a1, a2, a3, c0, c1, c2, c3)
+		}
+	}
+	// Fewer than four coefficients remain: VecMatAcc runs them one at a
+	// time.
+	VecMatAcc(d0, a[r:], m[r*n:])
+	VecMatAcc(d1, c[r:], m[r*n:])
 }
 
 // VecMatAcc accumulates a vector-matrix product into dst: for a row-major
@@ -49,7 +87,8 @@ func GemmAcc(dst, a, b []float64, m, k, n int) {
 //
 // The loop is register-blocked: each pass over dst (axpy4) takes four rows
 // of m, so dst is loaded and stored once per four products instead of once
-// per product. Each dst[j] still adds its products in row order with one
+// per product. axpy4 is the widest kernel the processor runs (see
+// kernel_amd64.go). Each dst[j] still adds its products in row order with one
 // rounding per addition, exactly as a one-row-at-a-time loop does, so the
 // blocking changes the speed and not the result. A block whose four
 // coefficients are all zero is skipped, like a zero coefficient in the
